@@ -149,20 +149,40 @@ def thresholds_from_probability(dims, probs) -> np.ndarray:
 # difference-in-means statistics
 
 
+def _as_columns(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    return values[:, None] if values.ndim == 1 else values
+
+
+def _group_sums(values: np.ndarray, codes: np.ndarray, q_count: int) -> np.ndarray:
+    """(B, Q, d) per-group column sums of ``values`` (n, d) under each row of
+    ``codes`` (B, n).
+
+    One ``bincount`` per column over the keys ``codes + Q * row`` does every
+    group of every row in a single pass.
+    """
+    b_count = codes.shape[0]
+    keys = (codes + q_count * np.arange(b_count)[:, None]).ravel()
+    out = np.empty((b_count * q_count, values.shape[1]))
+    for j, column in enumerate(values.T):
+        out[:, j] = np.bincount(keys, weights=np.tile(column, b_count),
+                                minlength=b_count * q_count)
+    return out.reshape(b_count, q_count, -1)
+
+
 def group_means(values: np.ndarray, codes: np.ndarray, q_count: int) -> np.ndarray:
     """Per-group means of ``values`` (n x d) under 0-based assignment codes."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        values = values[:, None]
+    values = _as_columns(values)
     codes = np.asarray(codes)
-    out = np.empty((q_count, values.shape[1]))
-    for q in range(q_count):
-        mask = codes == q
-        count = int(mask.sum())
-        if count == 0:
-            raise ValidationError(f"assignment leaves group {q + 1} empty")
-        out[q] = values[mask].mean(axis=0)
-    return out
+    if codes.shape != values.shape[:1]:
+        raise ValidationError(f"{codes.size} assignment codes for {values.shape[0]} rows")
+    if codes.size and (codes.min() < 0 or codes.max() >= q_count):
+        raise ValidationError(f"assignment codes must lie in [0, {q_count - 1}]")
+    counts = np.bincount(codes, minlength=q_count)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        raise ValidationError(f"assignment leaves group {empty[0] + 1} empty")
+    return _group_sums(values, codes[None, :], q_count)[0] / counts[:, None]
 
 
 def batch_group_means(values: np.ndarray, codes: np.ndarray,
@@ -172,14 +192,8 @@ def batch_group_means(values: np.ndarray, codes: np.ndarray,
     ``values`` is (n, d), ``codes`` is (B, n) with the fixed group counts of
     ``sizes``; returns (B, Q, d).
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        values = values[:, None]
-    out = np.empty((codes.shape[0], sizes.q_count, values.shape[1]))
-    for q, count in enumerate(sizes.counts):
-        mask = (codes == q).astype(float)
-        out[:, q, :] = (mask @ values) / count
-    return out
+    sums = _group_sums(_as_columns(values), np.asarray(codes), sizes.q_count)
+    return sums / np.asarray(sizes.counts, dtype=float)[:, None]
 
 
 def covariate_diff_in_means(x: np.ndarray, codes: np.ndarray,
@@ -288,7 +302,7 @@ class CriterionEngine:
     """Precomputed machinery to evaluate one criterion on assignment batches.
 
     Construction does all covariance and orthogonalization work once; the
-    per-batch cost is a handful of small einsums.  Used by the
+    per-batch cost is one group-sum pass and a few small matmuls.  Used by the
     rerandomization loop and the simulation lab.
     """
 
@@ -382,15 +396,16 @@ class CriterionEngine:
         if self._proj is None:
             return np.empty((codes.shape[0], 0))
         xbar = batch_group_means(self._x, codes, self.sizes)
-        proj = np.einsum("fq,bql->bfl", self._proj, xbar, optimize=True)
+        # matmuls, not optimize=True einsums: those plan their contraction
+        # path on every call, which costs more than small batches' arithmetic
+        proj = self._proj @ xbar
         out = np.empty((codes.shape[0], len(self._row_slices)))
         for i, (li, ri, rows, cols) in enumerate(zip(
                 self._left_inv, self._right_inv, self._row_slices, self._col_indices)):
             block = proj[:, rows, :]
             if len(cols) != block.shape[2]:
                 block = block[:, :, list(cols)]
-            out[:, i] = np.einsum("fg,bfl,lm,bgm->b", li, block, ri, block,
-                                  optimize=True)
+            out[:, i] = np.einsum("bfl,bfl->b", li @ block @ ri, block)
         return out
 
     def grid_cells(self, codes: np.ndarray) -> np.ndarray:

@@ -486,7 +486,7 @@ def cmd_analyze(args) -> None:
                         criterion)
     cs = confidence_set(data.outcome, data.x, assignment, structure, sizes,
                         criterion, contrast=contrast, alpha=alpha,
-                        rng=stream(seed), draws=draws)
+                        rng=stream(seed), draws=draws, law=law)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "analyze",

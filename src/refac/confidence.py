@@ -87,20 +87,21 @@ def confidence_set(y_obs: np.ndarray, x: np.ndarray, assignment: Assignment,
                    criterion: BalanceCriterion, *,
                    contrast: np.ndarray | None = None, alpha: float = 0.05,
                    rng: np.random.Generator,
-                   draws: int = DEFAULT_LAW_DRAWS) -> ConfidenceSet:
+                   draws: int = DEFAULT_LAW_DRAWS,
+                   law: AsymptoticLaw | None = None) -> ConfidenceSet:
     """Simulated-threshold confidence set for C tau.
 
     Deterministic given the generator state; pass a dedicated stream when
-    reproducibility matters.
+    reproducibility matters.  ``law`` is the :func:`estimated_law` of the
+    same data, built here when omitted.
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie strictly inside (0, 1), got {alpha}")
     if contrast is None:
         contrast = np.eye(structure.f_count)
     contrast = validate_contrast(contrast, structure.f_count)
-    moments = sample_moments(y_obs, x, assignment)
-    law = estimated_law(y_obs, x, assignment, structure, sizes, criterion,
-                        moments=moments)
+    if law is None:
+        law = estimated_law(y_obs, x, assignment, structure, sizes, criterion)
     tau_hat = effect_estimates(y_obs, assignment, structure)
     shape = contrast @ law.base_cov @ contrast.T
     threshold = quantile_threshold(law, contrast, shape, alpha, rng, draws)

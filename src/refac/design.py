@@ -24,8 +24,14 @@ import numpy as np
 from .errors import ValidationError
 from .linalg import population_covariance, sym_inverse
 
-#: hard upper bound on the number of factors (memory grows as 4^K)
-MAX_FACTORS = 20
+#: memory allowed for the dense (2^K - 1) x 2^K float contrast matrix; the
+#: F x F coefficient Gram matrix and its inverses downstream are as large
+CONTRAST_BUDGET_BYTES = 256 * 2 ** 20
+
+#: hard upper bound on the number of factors: the largest K whose contrast
+#: matrix fits the budget (K = 12 takes 134 MB, K = 13 would take 537 MB)
+MAX_FACTORS = max(k for k in range(1, 32)
+                  if 8 * (2 ** k - 1) * 2 ** k <= CONTRAST_BUDGET_BYTES)
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .asymptotic import LawComponent
 from .balance import (BalanceCriterion, CompleteRandomization, EffectTierCriterion,
-                      GridTierCriterion, MahalanobisCriterion)
+                      GridTierCriterion, MahalanobisCriterion, group_means)
 from .design import FactorialStructure, GroupSizes, orthogonalize_covariates, orthogonalize_effects
 from .errors import ValidationError
 from .linalg import population_covariance, sym_inv_sqrt, sym_inverse, sym_sqrt
@@ -60,12 +60,7 @@ def effect_estimates(y_obs: np.ndarray, assignment: Assignment,
     if assignment.q_count != structure.q_count:
         raise ValidationError(
             f"assignment has {assignment.q_count} groups, design has {structure.q_count}")
-    ybar = np.empty(structure.q_count)
-    for q in range(structure.q_count):
-        mask = assignment.codes == q
-        if not mask.any():
-            raise ValidationError(f"assignment leaves group {q + 1} empty")
-        ybar[q] = y[mask].mean()
+    ybar = group_means(y, assignment.codes, structure.q_count)[:, 0]
     return structure.scale * structure.contrasts @ ybar
 
 

@@ -14,6 +14,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from scipy import special, stats
 
 from refac.asymptotic import (AsymptoticLaw, LawComponent,
@@ -252,6 +253,7 @@ def _additive_population(n=1000):
     return generate_population(spec, stream(SEED, 6))
 
 
+@pytest.mark.slow
 def test_criterion_06_variance_reduction_tracks_theory(capsys):
     with _criterion(capsys, 6, "5000-replication variance reductions match "
                     "the closed form for all three designs", 900.0):
@@ -311,6 +313,7 @@ def test_criterion_07_threshold_monotonicity(capsys):
 # 8. confidence-set coverage, exact and conservative regimes
 
 
+@pytest.mark.slow
 def test_criterion_08_coverage(capsys):
     with _criterion(capsys, 8, "95% sets cover: tight when unit effects are "
                     "constant, conservative otherwise", 600.0):

@@ -114,6 +114,30 @@ def test_batch_group_means_matches_loop():
                                    atol=1e-12)
 
 
+def test_group_sums_match_per_group_reference_at_128_groups():
+    rng = stream(31, 1)
+    sizes = GroupSizes(tuple(int(c) for c in rng.integers(2, 12, 128)))
+    x = rng.standard_normal((sizes.n, 3))
+    codes = draw_assignment_batch(sizes, rng, 5)
+    batched = batch_group_means(x, codes, sizes)
+    for b, row in enumerate(codes):
+        expected = np.array([x[row == q].mean(0) for q in range(128)])
+        np.testing.assert_allclose(batched[b], expected, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(group_means(x, row, 128), expected,
+                                   rtol=1e-12, atol=1e-12)
+
+
+def test_group_means_rejects_empty_groups_and_misaligned_codes():
+    codes = np.repeat(np.arange(128), 2)
+    codes[codes == 57] = 58
+    with pytest.raises(ValidationError, match="group 58 empty"):
+        group_means(np.ones(256), codes, 128)
+    with pytest.raises(ValidationError, match="256 assignment codes for 255 rows"):
+        group_means(np.ones(255), np.repeat(np.arange(128), 2), 128)
+    with pytest.raises(ValidationError, match="must lie in"):
+        group_means(np.ones(4), np.array([0, 1, 2, 4]), 4)
+
+
 def test_diff_in_means_single_factor_is_mean_difference():
     s = build_structure(1)
     x = np.array([1.0, 2.0, 3.0, 10.0, 20.0, 30.0])

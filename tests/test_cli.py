@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface."""
 
 import csv
+import importlib
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from refac.chisq import chi2_cdf, truncation_variance_factor
 from refac.cli import main
-from refac.design import build_structure
+from refac.design import CONTRAST_BUDGET_BYTES, MAX_FACTORS, build_structure
 from refac.estimate import effect_estimates
 from refac.rerandomize import Assignment
 from refac.rng import stream
@@ -194,6 +195,17 @@ def test_design_budget_exhausted(tmp_path, capsys):
     assert "nearest miss" in err and "overall" in err
 
 
+def test_design_rejects_factor_count_above_memory_cap(tmp_path, capsys):
+    # validated before any (2^K - 1) x 2^K contrast matrix is allocated
+    assert 8 * (2 ** MAX_FACTORS - 1) * 2 ** MAX_FACTORS <= CONTRAST_BUDGET_BYTES
+    cov, _ = _covariate_csv(tmp_path / "cov.csv")
+    cfg = _design_config(tmp_path / "cfg.json", k=MAX_FACTORS + 1)
+    code = main(["design", "--config", cfg, "--covariates", cov,
+                 "--out", str(tmp_path / "a.csv")])
+    assert code == 2
+    assert f"factor count must lie in [1, {MAX_FACTORS}]" in capsys.readouterr().err
+
+
 def test_design_singular_covariates(tmp_path, capsys):
     cov, _ = _covariate_csv(tmp_path / "cov.csv", extra=["age_copy"])
     cfg = _design_config(tmp_path / "cfg.json")
@@ -283,6 +295,22 @@ def test_analyze_matches_direct_estimates(tmp_path):
     assert main(["analyze", "--config", cfg, "--data", data,
                  "--seed", "11", "--out", str(out2)]) == 0
     assert out2.read_bytes() == out.read_bytes()
+
+
+def test_analyze_builds_the_estimated_law_once(tmp_path, monkeypatch):
+    confidence = importlib.import_module("refac.confidence")
+    calls = []
+    original = confidence.projection_coefficients
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(confidence, "projection_coefficients", counted)
+    data, cfg, _, _ = _analysis_files(tmp_path)
+    assert main(["analyze", "--config", cfg, "--data", data, "--seed", "11",
+                 "--draws", "2000", "--out", str(tmp_path / "a.json")]) == 0
+    assert len(calls) == 1
 
 
 def test_analyze_contrast_rows(tmp_path):

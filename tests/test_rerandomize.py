@@ -1,5 +1,6 @@
 """Assignment drawing and the acceptance-rejection loop."""
 
+import importlib
 import math
 
 import numpy as np
@@ -67,6 +68,20 @@ def test_batched_rows_match_sequential_draws():
     rng = stream(51, 1)
     rows = np.vstack([draw_assignment_batch(sizes, rng, 1) for _ in range(8)])
     np.testing.assert_array_equal(whole, rows)
+
+
+@pytest.mark.parametrize("counts", [(3, 4, 5, 2), (856, 216, 208, 118), (8,) * 128])
+@pytest.mark.parametrize("batch", [1, 1024])
+def test_draw_batch_is_the_int32_permuted_stream(counts, batch):
+    # The stream definition: B rows of numpy's row-wise Fisher-Yates shuffle
+    # of the int32 label pool, leaving the generator where that shuffle does.
+    sizes = GroupSizes(counts)
+    pool = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+    rng, reference = stream(51, 4), stream(51, 4)
+    drawn = draw_assignment_batch(sizes, rng, batch)
+    expected = reference.permuted(np.tile(pool, (batch, 1)), axis=1)
+    np.testing.assert_array_equal(drawn, expected)
+    np.testing.assert_equal(rng.bit_generator.state, reference.bit_generator.state)
 
 
 def test_small_design_draws_are_uniform():
@@ -152,6 +167,18 @@ def test_rerandomize_returns_first_passing_draw_in_stream_order():
     ok = engine.accept(engine.statistics(replay))
     assert not ok[:-1].any() and ok[-1]
     np.testing.assert_array_equal(replay[-1], outcome.assignment.codes)
+
+
+@pytest.mark.parametrize("batch", [1, 1024])
+def test_rerandomize_does_not_depend_on_batch_size(monkeypatch, batch):
+    s, sizes, x, crit = _loop_setup(59, 2.0)
+    default = rerandomize(x, s, sizes, crit, stream(59, 1))
+    module = importlib.import_module("refac.rerandomize")
+    monkeypatch.setattr(module, "_batch_size",
+                        lambda p, remaining: min(batch, remaining))
+    fixed = rerandomize(x, s, sizes, crit, stream(59, 1))
+    assert fixed.draws_attempted == default.draws_attempted > 1
+    np.testing.assert_array_equal(fixed.assignment.codes, default.assignment.codes)
 
 
 def test_complete_randomization_accepts_the_first_draw():
