@@ -10,14 +10,28 @@ dimension d_i conditioned on ||zeta_i||^2 <= cutoff_i (an untruncated
 component stands in for plain randomization).  The law is invariant to the
 square-root convention used for the coefficients.
 
-Truncated vectors are sampled by spherical decomposition, not rejection:
-the squared radius is an inverse-CDF draw from the truncated chi-square,
-and the direction is built from independent Rademacher signs and a
-Dirichlet(1/2, ..., 1/2) vector realized as normalized squared Gaussians.
+Only ``coef_i zeta_i`` is ever read, so a law draw never builds a d_i-vector.
+The law of zeta_i is invariant under rotations, so ``coef_i zeta_i`` has the
+law of ``B_i zeta_i[:r_i]``, where ``B_i B_i' = coef_i coef_i'`` and
+r_i = rank(coef_i) <= min(F, d_i).  This is the r-coordinate form of the
+scalar representation of Li, Ding & Rubin (2018, PNAS, "Asymptotic theory of
+rerandomization in treatment-control experiments").  Untruncated components
+are Gaussian and fold into the base covariance.  A draw of the law then
+costs F normals for the base, and r_i normals, a squared radius and one
+chi-square scalar per truncated component.
+
+A truncated vector is a radius times a uniform direction.  The first r
+coordinates of the direction are g / sqrt(||g||^2 + chi^2_{d-r}), with g an
+r-vector of standard normals.  The squared radius follows chi^2_d restricted
+to [0, cutoff].  It is drawn exactly, by rejection from whichever proposal
+accepts more often: the power envelope cutoff * U^{2/d}, kept with
+probability exp(-t/2), or chi^2_d itself, kept below the cutoff.  When both
+accept less often than :data:`MIN_REJECTION_RATE`, the inverse CDF is used.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,34 +42,105 @@ from .chisq import truncation_variance_factor  # noqa: F401  (re-exported)
 from .errors import ValidationError
 from .linalg import psd_sqrt, sym_inv_sqrt, sym_inverse
 
+#: below this acceptance rate of both rejection proposals the squared radius
+#: is drawn by the inverse CDF, which costs about as much as 20 proposals
+MIN_REJECTION_RATE = 0.05
 
-def truncated_gaussian_sample(dim: int, cutoff: float | None,
-                              rng: np.random.Generator, size: int) -> np.ndarray:
-    """(size, dim) draws of a standard Gaussian conditioned on norm^2 <= cutoff.
+#: most proposals a rejection sampler draws at once, which bounds its memory
+PROPOSAL_CHUNK = 1 << 16
 
-    ``cutoff=None`` means no truncation.  Every returned row satisfies the
-    norm constraint exactly; the per-coordinate variance is
-    :func:`truncation_variance_factor`(dim, cutoff).
+
+def _untruncated(cutoff: float | None) -> bool:
+    return cutoff is None or math.isinf(cutoff)
+
+
+def _radius_plan(dim: int, cutoff: float) -> tuple[str, float]:
+    """How to draw chi^2_dim conditioned on <= cutoff, and the rate it needs.
+
+    ``("envelope", acceptance rate)``, ``("chisquare", mass)`` or
+    ``("inverse", mass)``, where mass is P(chi^2_dim <= cutoff).
     """
-    if dim < 1:
-        raise ValidationError(f"dimension must be >= 1, got {dim}")
-    normals = rng.standard_normal((size, dim))
-    if cutoff is None or np.isinf(cutoff):
-        return normals
     if cutoff <= 0.0:
         raise ValidationError(f"cutoff must be positive, got {cutoff}")
     half = 0.5 * dim
-    mass = special.gammainc(half, 0.5 * cutoff)
+    mass = float(special.gammainc(half, 0.5 * cutoff))
     if mass <= 0.0:
         raise ValidationError(
             f"cutoff {cutoff} underflows the chi-square CDF for dim={dim}")
-    uniforms = rng.random(size)
-    radius_sq = 2.0 * special.gammaincinv(half, uniforms * mass)
-    radius_sq = np.minimum(radius_sq, cutoff)  # shave inverse-CDF round-off
-    signs = rng.integers(0, 2, size=(size, dim)) * 2.0 - 1.0
-    squares = normals ** 2
-    fractions = squares / squares.sum(axis=1, keepdims=True)
-    return np.sqrt(radius_sq)[:, None] * signs * np.sqrt(fractions)
+    # the envelope's density is the target's divided by exp(-t/2), so its
+    # acceptance rate is gamma(half, cutoff/2) * half * (2/cutoff)^half
+    envelope = min(1.0, math.exp(math.log(mass) + special.gammaln(half + 1.0)
+                                 + half * math.log(2.0 / cutoff)))
+    if max(envelope, mass) < MIN_REJECTION_RATE:
+        return "inverse", mass
+    return ("envelope", envelope) if envelope >= mass else ("chisquare", mass)
+
+
+def _rejection_sample(propose, rate: float, size: int) -> np.ndarray:
+    """The first ``size`` accepted values of ``propose(n) -> (values, kept)``."""
+    out = np.empty(size)
+    filled = 0
+    while filled < size:
+        need = size - filled
+        values, kept = propose(min(int(1.1 * need / rate) + 16, PROPOSAL_CHUNK))
+        accepted = values[kept][:need]
+        out[filled:filled + accepted.size] = accepted
+        filled += accepted.size
+    return out
+
+
+def _truncated_chi2_sample(dim: int, cutoff: float, rng: np.random.Generator,
+                           size: int) -> np.ndarray:
+    """``size`` exact draws of chi^2_dim conditioned on being <= cutoff."""
+    method, rate = _radius_plan(dim, cutoff)
+    if method == "inverse":
+        radius_sq = 2.0 * special.gammaincinv(0.5 * dim, rng.random(size) * rate)
+        return np.minimum(radius_sq, cutoff)  # shave inverse-CDF round-off
+    if method == "envelope":
+        def propose(n):
+            t = cutoff * rng.random(n) ** (2.0 / dim)
+            return t, rng.random(n) < np.exp(-0.5 * t)
+    else:
+        def propose(n):
+            t = rng.chisquare(dim, n)
+            return t, t <= cutoff
+    return _rejection_sample(propose, rate, size)
+
+
+def truncated_gaussian_sample(dim: int, cutoff: float | None,
+                              rng: np.random.Generator, size: int,
+                              coords: int | None = None) -> np.ndarray:
+    """(size, coords) leading coordinates of draws of a standard Gaussian
+    ``dim``-vector conditioned on norm^2 <= cutoff.
+
+    ``coords`` defaults to ``dim``, the whole vector, whose every row then
+    satisfies the norm constraint exactly.  ``cutoff=None`` means no
+    truncation.  The per-coordinate variance is
+    :func:`truncation_variance_factor`(dim, cutoff).  The squared radius is
+    drawn first, then the (size, coords) normals, then the chi^2_{dim-coords}
+    remainder of the direction's norm when ``coords < dim``.
+    """
+    if dim < 1:
+        raise ValidationError(f"dimension must be >= 1, got {dim}")
+    coords = dim if coords is None else coords
+    if not 0 <= coords <= dim:
+        raise ValidationError(f"coords must lie in [0, {dim}], got {coords}")
+    if _untruncated(cutoff):
+        return rng.standard_normal((size, coords))
+    radius_sq = _truncated_chi2_sample(dim, cutoff, rng, size)
+    normals = rng.standard_normal((size, coords))
+    norm_sq = np.einsum("ij,ij->i", normals, normals)
+    if coords < dim:
+        norm_sq += rng.chisquare(dim - coords, size)
+    normals *= np.sqrt(radius_sq / norm_sq)[:, None]
+    return normals
+
+
+def _rank_factor(coef: np.ndarray) -> np.ndarray:
+    """(F, r) matrix B with B B' = coef coef' and r = rank(coef)."""
+    w, u = np.linalg.eigh(coef @ coef.T)
+    keep = w > w[-1] * max(coef.shape) * np.finfo(float).eps
+    return u[:, keep] * np.sqrt(w[keep])
 
 
 @dataclass(frozen=True)
@@ -117,16 +202,28 @@ def simulate_law(law: AsymptoticLaw, rng: np.random.Generator,
                  draws: int) -> np.ndarray:
     """(draws, dim) Monte Carlo sample of the law.
 
-    The Gaussian base is drawn first, then each component in declaration
-    order, so a fixed generator state reproduces the sample exactly.
+    Untruncated components fold into the Gaussian base, which is drawn
+    first as (draws, dim) normals.  Each truncated component follows in
+    declaration order, as the rank(coef) leading coordinates of its
+    truncated vector (:func:`truncated_gaussian_sample` with ``coords``).
+    A fixed generator state therefore reproduces the sample exactly, and
+    no (draws, d) array is formed for a d-dimensional component.
     """
     if draws < 1:
         raise ValidationError(f"draws must be >= 1, got {draws}")
-    root = psd_sqrt(law.base_cov, name="law base covariance")
-    out = rng.standard_normal((draws, law.dim)) @ root.T
+    base = law.base_cov.copy()
+    truncated = []
     for comp in law.components:
-        zeta = truncated_gaussian_sample(comp.dim, comp.cutoff, rng, draws)
-        out += zeta @ comp.coef.T
+        if _untruncated(comp.cutoff):
+            base += comp.coef @ comp.coef.T
+        else:
+            truncated.append((comp, _rank_factor(comp.coef)))
+    root = psd_sqrt(base, name="law base covariance")
+    out = rng.standard_normal((draws, law.dim)) @ root.T
+    for comp, factor in truncated:
+        zeta = truncated_gaussian_sample(comp.dim, comp.cutoff, rng, draws,
+                                         coords=factor.shape[1])
+        out += zeta @ factor.T
     return out
 
 
@@ -235,7 +332,7 @@ def quadratic_form_samples(law: AsymptoticLaw, contrast: np.ndarray,
     contrast = validate_contrast(contrast, law.dim)
     kernel = sym_inverse(np.asarray(shape, dtype=float), name="confidence shape")
     phi = simulate_law(law, rng, draws) @ contrast.T
-    return np.einsum("ij,jk,ik->i", phi, kernel, phi, optimize=True)
+    return ((phi @ kernel) * phi).sum(axis=1)
 
 
 def quantile_thresholds(law: AsymptoticLaw, contrast: np.ndarray,

@@ -12,6 +12,7 @@ Substream layout (first path component is a namespace tag):
 (0, d, i)   replication i of design d (0 is the built-in baseline)
 (1, d)      theoretical law simulation for design d
 (2,)        population generation helper seed (CLI convenience)
+(3, d, i)   confidence-set law draws of replication i of design d
 ==========  =======================================================
 """
 
@@ -397,15 +398,16 @@ def _replication_block(payload) -> tuple[np.ndarray, np.ndarray, np.ndarray | No
     covers = np.zeros(count, dtype=bool) if want_coverage else None
     rows = np.arange(x.shape[0])
     for idx, i in enumerate(range(lo, hi)):
-        rng = stream(seed, 0, d_index, i)
-        outcome = rerandomize(x, structure, sizes, criterion, rng,
+        outcome = rerandomize(x, structure, sizes, criterion,
+                              stream(seed, 0, d_index, i),
                               max_draws=budget, engine=engine)
         y = potential[rows, outcome.assignment.codes]
         taus[idx] = effect_estimates(y, outcome.assignment, structure)
         draws[idx] = outcome.draws_attempted
         if want_coverage:
             cs = confidence_set(y, x, outcome.assignment, structure, sizes,
-                                criterion, alpha=alpha, rng=rng, draws=law_draws)
+                                criterion, alpha=alpha,
+                                rng=stream(seed, 3, d_index, i), draws=law_draws)
             covers[idx] = cs.contains(tau)
     return taus, draws, covers
 

@@ -1,10 +1,14 @@
 """Truncated-Gaussian sampling, asymptotic laws, and quantile thresholds."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
 
 from refac.asymptotic import (AsymptoticLaw, CorrelationProfile, LawComponent,
+                              _radius_plan,
                               commutation_gap, correlation_profile,
                               quadratic_form_samples, quantile_threshold,
                               quantile_thresholds, simulate_law,
@@ -65,12 +69,53 @@ def test_truncated_sampler_radius_distribution():
     assert result.pvalue > 0.005
 
 
+@pytest.mark.parametrize("dim,prob,method", [
+    (6, 0.1, "envelope"), (6, 0.9, "chisquare"), (50, 0.01, "inverse")])
+def test_each_radius_branch_follows_the_truncated_chi_square(dim, prob, method):
+    cutoff = chi2_quantile(prob, dim)
+    assert _radius_plan(dim, cutoff)[0] == method
+    draws = truncated_gaussian_sample(dim, cutoff, stream(71, 5, dim), 20_000)
+    norms = (draws ** 2).sum(axis=1)
+    assert norms.max() <= cutoff
+    mass = scipy.stats.chi2.cdf(cutoff, dim)
+    result = scipy.stats.kstest(norms,
+                                lambda t: scipy.stats.chi2.cdf(t, dim) / mass)
+    assert result.pvalue > 0.005
+
+
+def _rejection_reference(dim, cutoff, rng, size):
+    """Rows of N(0, I_dim) kept when their squared norm is <= cutoff."""
+    kept = []
+    while sum(len(k) for k in kept) < size:
+        z = rng.standard_normal((4 * size, dim))
+        kept.append(z[(z ** 2).sum(axis=1) <= cutoff])
+    return np.concatenate(kept)[:size]
+
+
+def test_leading_coordinates_match_a_rejection_sampler():
+    # the first of coords < dim coordinates against the first coordinate of
+    # whole vectors drawn by rejection: the 20 two-sample p-values must look
+    # uniform
+    dim, coords, size = 6, 2, 2_000
+    cutoff = chi2_quantile(0.3, dim)
+    pvalues = []
+    for seed in range(20):
+        ours = truncated_gaussian_sample(dim, cutoff, stream(74, seed), size,
+                                         coords=coords)
+        assert ours.shape == (size, coords)
+        reference = _rejection_reference(dim, cutoff, stream(75, seed), size)
+        pvalues.append(scipy.stats.ks_2samp(ours[:, 0], reference[:, 0]).pvalue)
+    assert scipy.stats.kstest(pvalues, "uniform").pvalue > 0.01
+
+
 def test_truncated_sampler_validation():
     rng = stream(71, 4)
     with pytest.raises(ValidationError):
         truncated_gaussian_sample(0, 1.0, rng, 10)
     with pytest.raises(ValidationError):
         truncated_gaussian_sample(3, -1.0, rng, 10)
+    with pytest.raises(ValidationError):
+        truncated_gaussian_sample(3, 1.0, rng, 10, coords=4)
     with pytest.raises(ValidationError, match="underflows"):
         truncated_gaussian_sample(400, 1e-280, rng, 10)
 
@@ -122,15 +167,45 @@ def test_simulate_law_reproducible_and_identity_base():
 
 
 def test_simulate_law_covariance_matches_formula():
-    rng = stream(72, 1)
     base = np.array([[0.5, 0.1], [0.1, 0.3]])
     coef = np.array([[0.6, 0.0, 0.2], [0.1, 0.4, 0.0]])
-    law = AsymptoticLaw(base_cov=base, components=(
-        LawComponent(coef, 3, chi2_quantile(0.3, 3)),))
-    draws = simulate_law(law, rng, 200_000)
-    np.testing.assert_array_less(np.abs(draws.mean(axis=0)), 0.01)
-    np.testing.assert_allclose(np.cov(draws, rowvar=False),
-                               law.covariance(), atol=0.012)
+    cutoff = chi2_quantile(0.3, 3)
+    components = {
+        "full rank": LawComponent(coef, 3, cutoff),
+        "untruncated": LawComponent(coef, 3, None),
+        # rank 1 < F = 2 with d = 4 > F
+        "rank deficient": LawComponent(
+            np.outer([0.5, 0.25], [1.0, -1.0, 0.5, 0.0]), 4,
+            chi2_quantile(0.2, 4)),
+        "d < F": LawComponent(np.array([[0.7], [-0.4]]), 1,
+                              chi2_quantile(0.5, 1)),
+    }
+    for i, (label, comp) in enumerate(components.items()):
+        law = AsymptoticLaw(base_cov=base, components=(comp,))
+        draws = simulate_law(law, stream(72, 1, i), 200_000)
+        np.testing.assert_array_less(np.abs(draws.mean(axis=0)), 0.01,
+                                     err_msg=label)
+        np.testing.assert_allclose(np.cov(draws, rowvar=False),
+                                   law.covariance(), atol=0.012,
+                                   err_msg=label)
+
+
+def test_simulate_law_memory_is_linear_in_the_rank():
+    # a 2000-dim component read through a rank-3 coefficient: the peak must
+    # stay a small multiple of draws * (F + r) doubles, where a single
+    # (draws, d) array would take 160 MB
+    f_count, dim, draws = 3, 2_000, 10_000
+    coef = stream(72, 2).standard_normal((f_count, dim)) / math.sqrt(dim)
+    law = AsymptoticLaw(base_cov=np.eye(f_count), components=(
+        LawComponent(coef, dim, chi2_quantile(0.5, dim)),))
+    tracemalloc.start()
+    try:
+        sample = simulate_law(law, stream(72, 3), draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sample.shape == (draws, f_count)
+    assert peak < 4 * draws * (f_count + 3) * 8
 
 
 # ---------------------------------------------------------------------------

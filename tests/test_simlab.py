@@ -1,5 +1,6 @@
 """Synthetic populations, the replication study, and the tradeoff sweep."""
 
+import importlib
 import math
 
 import numpy as np
@@ -311,6 +312,22 @@ def test_replicate_coverage_path():
     for res in report.all_results():
         assert 0.0 <= res.coverage <= 1.0
         assert not math.isnan(res.coverage_se)
+
+
+def test_replicate_coverage_does_not_depend_on_batch_size(monkeypatch):
+    # the confidence-set law has its own substream, so how many rows the
+    # accept/reject loop drew past the accepted one cannot move coverage
+    pop, s, sizes = _tiny_population()
+    module = importlib.import_module("refac.rerandomize")
+    coverages = []
+    for batch in (1, 256):
+        monkeypatch.setattr(module, "_batch_size",
+                            lambda p, remaining, b=batch: min(b, remaining))
+        report = replicate(pop, s, sizes, [_loose_design(0.05)], reps=30,
+                           seed=9, coverage=True, alpha=0.5, law_draws=100,
+                           theory_draws=1000, workers=1)
+        coverages.append([res.coverage for res in report.all_results()])
+    assert coverages[0] == coverages[1]
 
 
 def test_replicate_worker_layout_does_not_change_results():
