@@ -12,12 +12,12 @@ from .asymptotic import (AsymptoticLaw, CorrelationProfile, LawComponent,
                          quantile_thresholds, simulate_law,
                          truncated_gaussian_sample, variance_reduction)
 from .balance import (BalanceCriterion, BalanceReport, CompleteRandomization,
-                      CriterionEngine, EffectTierCriterion, GridTierCriterion,
-                      MahalanobisCriterion, covariate_diff_in_means,
-                      criterion_cutoffs, criterion_dimensions,
+                      CriterionEngine, CriterionPlan, EffectTierCriterion,
+                      GridTierCriterion, MahalanobisCriterion,
+                      covariate_diff_in_means, criterion_cutoffs,
+                      criterion_dimensions, criterion_plan,
                       imbalance_covariance, mahalanobis_effect_tiers,
-                      mahalanobis_grid, mahalanobis_overall,
-                      thresholds_from_probability)
+                      mahalanobis_overall, thresholds_from_probability)
 from .chisq import (chi2_cdf, chi2_quantile, regularized_gamma_p,
                     truncation_variance_factor)
 from .confidence import (DEFAULT_LAW_DRAWS, ConfidenceSet, confidence_set,
@@ -32,8 +32,7 @@ from .estimate import (SampleMoments, effect_estimates, neyman_covariance,
                        projection_coefficients, residual_covariance_estimate,
                        sample_moments)
 from .rerandomize import (Assignment, MaxDrawsExceeded, RerandomizationOutcome,
-                          acceptance_probability, default_max_draws,
-                          draw_assignment, rerandomize)
+                          default_max_draws, draw_assignment, rerandomize)
 from .rng import philox_key, stream
 from .simlab import (CovariateColumn, OutcomeRecipe, Population,
                      PopulationSpec, ReplicationReport, TradeoffCurve,

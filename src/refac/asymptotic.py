@@ -197,6 +197,10 @@ class AsymptoticLaw:
             total += comp.variance_factor * (comp.coef @ comp.coef.T)
         return total
 
+    def profile(self, total_cov: np.ndarray) -> "CorrelationProfile":
+        """Correlation profile whose part h is component h's coef coef'."""
+        return correlation_profile(total_cov, [c.coef @ c.coef.T for c in self.components])
+
 
 def simulate_law(law: AsymptoticLaw, rng: np.random.Generator,
                  draws: int) -> np.ndarray:
@@ -325,17 +329,23 @@ def validate_contrast(contrast: np.ndarray, dim: int) -> np.ndarray:
     return contrast
 
 
-def quadratic_form_samples(law: AsymptoticLaw, contrast: np.ndarray,
+def quadratic_form_samples(law: AsymptoticLaw, contrast: np.ndarray | None,
                            shape: np.ndarray, rng: np.random.Generator,
                            draws: int) -> np.ndarray:
-    """Monte Carlo sample of (C phi)' shape^{-1} (C phi) under the law."""
-    contrast = validate_contrast(contrast, law.dim)
+    """Monte Carlo sample of (C phi)' shape^{-1} (C phi) under the law.
+
+    ``contrast=None`` stands for the identity, which is never multiplied.
+    """
+    if contrast is not None:
+        contrast = validate_contrast(contrast, law.dim)
     kernel = sym_inverse(np.asarray(shape, dtype=float), name="confidence shape")
-    phi = simulate_law(law, rng, draws) @ contrast.T
+    phi = simulate_law(law, rng, draws)
+    if contrast is not None:
+        phi = phi @ contrast.T
     return ((phi @ kernel) * phi).sum(axis=1)
 
 
-def quantile_thresholds(law: AsymptoticLaw, contrast: np.ndarray,
+def quantile_thresholds(law: AsymptoticLaw, contrast: np.ndarray | None,
                         shape: np.ndarray, alphas: Sequence[float],
                         rng: np.random.Generator, draws: int) -> np.ndarray:
     """1-alpha quantiles of the standardized quadratic form, one per alpha.
@@ -350,7 +360,7 @@ def quantile_thresholds(law: AsymptoticLaw, contrast: np.ndarray,
     return np.quantile(samples, 1.0 - alphas)
 
 
-def quantile_threshold(law: AsymptoticLaw, contrast: np.ndarray,
+def quantile_threshold(law: AsymptoticLaw, contrast: np.ndarray | None,
                        shape: np.ndarray, alpha: float,
                        rng: np.random.Generator, draws: int) -> float:
     """1-alpha quantile of the standardized quadratic form under the law."""

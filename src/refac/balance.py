@@ -1,40 +1,54 @@
 """Covariate imbalance statistics and Mahalanobis balance criteria.
 
-Three acceptance rules are supported, plus plain complete randomization:
+Every criterion is a grid of (covariate tier, effect tier) cells.  Effects
+and covariates are split into ordered tiers, most important first; effect
+tiers are orthogonalized blockwise (:func:`orthogonalize_effects`) and
+covariate tiers residualized on the earlier ones
+(:func:`orthogonalize_covariates`), so each cell (t, h) has its own
+Mahalanobis statistic and the cell statistics are asymptotically
+independent.  A criterion groups the cells, sums the statistics of each
+group and puts a cutoff on each sum; each group adds one truncated-Gaussian
+component to the asymptotic law.
 
-* :class:`MahalanobisCriterion` - one Mahalanobis statistic over the whole
-  stacked difference-in-means vector, accepted below a single cutoff.
-* :class:`EffectTierCriterion` - effects are split into ordered tiers;
-  each tier gets its own statistic (computed from blockwise-orthogonalized
-  coefficients so the statistics are exactly uncorrelated) and cutoff.
-* :class:`GridTierCriterion` - both covariates and effects are tiered; the
-  per-cell statistics are grouped along the tier grid and each group's sum
-  gets a cutoff.
+* :class:`CompleteRandomization` - the 1 x 1 grid, with no cutoff.
+* :class:`MahalanobisCriterion` - the 1 x 1 grid: one tier of all effects in
+  structure order against one tier of all covariates, under one cutoff.
+* :class:`EffectTierCriterion` - the 1 x H grid, one cutoff per effect tier.
+* :class:`GridTierCriterion` - the T x H grid, grouped by a :class:`TierGrid`
+  with one cutoff per group; its T x 1 case is Morgan & Rubin's (2015, JASA,
+  "Rerandomization to balance tiers of covariates") tiers of covariates.
 
-All statistics are quadratic forms whose kernels factor as Kronecker
-products, which is how they are computed: no stacked-dimension inverse is
-ever formed.
+:func:`criterion_plan` compiles a criterion into this grid once; the
+batched engine, the two asymptotic-law builders (:mod:`refac.truth` and
+:mod:`refac.estimate`) and the theory profiles read the plan.  All
+statistics are quadratic forms whose kernels factor as Kronecker products,
+which is how they are computed: no stacked-dimension inverse is ever
+formed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
 
 from . import chisq
+from .asymptotic import LawComponent
 from .design import (CovariateTierPartition, EffectTierPartition, FactorialStructure,
                      GroupSizes, TieredCoefficients, TierGrid, coefficient_gram,
                      orthogonalize_covariates, orthogonalize_effects)
 from .errors import ValidationError
-from .linalg import KroneckerPSD, population_covariance, sym_inverse
+from .linalg import KroneckerPSD, population_covariance, sym_inv_sqrt, sym_inverse
 
 
 @dataclass(frozen=True)
 class CompleteRandomization:
     """No balance restriction: every assignment is accepted."""
+
+    thresholds = ()
 
 
 @dataclass(frozen=True)
@@ -45,6 +59,10 @@ class MahalanobisCriterion:
 
     def __post_init__(self):
         _check_threshold(self.threshold, "threshold")
+
+    @property
+    def thresholds(self) -> tuple[float, ...]:
+        return (float(self.threshold),)
 
 
 @dataclass(frozen=True)
@@ -94,31 +112,136 @@ def _check_threshold(a, label: str) -> None:
         raise ValidationError(f"{label} must be positive and finite, got {a}")
 
 
+# ---------------------------------------------------------------------------
+# the criterion plan
+
+
+@dataclass(frozen=True, eq=False)
+class CriterionPlan:
+    """A balance criterion compiled into its grid of tier cells.
+
+    ``cells`` lists every (covariate tier t, effect tier h) pair, t major.
+    ``groups[j]`` holds the indices into ``cells`` whose statistics add up
+    to statistic j, which is also component j of the asymptotic law:
+    ``cutoffs[j]`` is its threshold (``None`` leaves it untruncated) and
+    ``dims[j]`` its chi-square dimension.  ``labels`` name the thresholded
+    statistics in balance reports and ``cell_labels`` the reported cells.
+    """
+
+    structure: FactorialStructure
+    sizes: GroupSizes | None
+    effect_partition: EffectTierPartition
+    covariate_partition: CovariateTierPartition
+    cells: tuple[tuple[int, int], ...]
+    groups: tuple[tuple[int, ...], ...]
+    cutoffs: tuple[float | None, ...]
+    dims: tuple[int, ...]
+    labels: tuple[str, ...]
+    cell_labels: tuple[str, ...]
+
+    @cached_property
+    def tiered(self) -> TieredCoefficients:
+        """The orthogonalized effect tiers; needs the group sizes."""
+        if self.sizes is None:
+            raise ValidationError("effect tiers need the group sizes")
+        return orthogonalize_effects(self.structure, self.sizes, self.effect_partition)
+
+    @property
+    def limits(self) -> np.ndarray:
+        """Cutoff of each thresholded statistic."""
+        return np.array([a for a in self.cutoffs if a is not None], dtype=float)
+
+    @property
+    def limit_dims(self) -> np.ndarray:
+        """Chi-square dimension of each thresholded statistic."""
+        return np.array([d for d, a in zip(self.dims, self.cutoffs) if a is not None],
+                        dtype=float)
+
+    def covariate_label(self, t: int) -> str:
+        return "covariate" if len(self.covariate_partition) == 1 else \
+            f"covariate tier {t + 1}"
+
+    def covariates(self, x: np.ndarray) -> np.ndarray:
+        """``x`` with each covariate tier residualized on the earlier ones."""
+        return orthogonalize_covariates(_as_columns(x), self.covariate_partition)
+
+    def law_components(self, group_sizes, cross_rows, covariances) -> list[LawComponent]:
+        """One asymptotic-law component per group of cells.
+
+        ``cross_rows[t]`` (Q x L_t) holds the per-group cross moments of the
+        outcome with covariate tier t of :meth:`covariates`, and
+        ``covariances[t]`` that tier's covariance.  Cell (t, h) contributes
+        the stacked cross covariance of effect tier h's coefficients, times
+        the inverse square roots of tier h's Gram block and of
+        ``covariances[t]``, applied factor by factor.
+        """
+        tiered = self.tiered
+        left = [sym_inv_sqrt(b, name=f"tier {h + 1} Gram block")
+                for h, b in enumerate(tiered.gram_blocks)]
+        right = [sym_inv_sqrt(c, name=f"{self.covariate_label(t)} covariance")
+                 for t, c in enumerate(covariances)]
+        pieces = []
+        for t, h in self.cells:
+            stacked = stacked_cross(self.structure, group_sizes,
+                                    tiered.coeffs[tiered.block_slices[h]], cross_rows[t])
+            pieces.append((left[h] @ stacked @ right[t]).reshape(stacked.shape[0], -1))
+        components = []
+        for group, cutoff in zip(self.groups, self.cutoffs):
+            coef = np.hstack([pieces[i] for i in group])
+            components.append(LawComponent(coef=coef, dim=coef.shape[1], cutoff=cutoff))
+        return components
+
+
+def criterion_plan(criterion: BalanceCriterion, structure: FactorialStructure,
+                   sizes: GroupSizes | None, covariate_count: int) -> CriterionPlan:
+    """Compile ``criterion`` into its grid of (covariate tier, effect tier) cells.
+
+    This is the one place that tells the criterion kinds apart.  Without
+    ``sizes`` the plan has no effect orthogonalization, which its
+    dimensions, cutoffs, labels and covariates do not need.
+    """
+    if covariate_count < 1:
+        raise ValidationError(f"covariate count must be >= 1, got {covariate_count}")
+    effects = EffectTierPartition((tuple(range(structure.f_count)),))
+    covariates = CovariateTierPartition((tuple(range(covariate_count)),))
+    report_cells = False
+    if isinstance(criterion, CompleteRandomization):
+        groups, labels = (((0, 0),),), ()
+    elif isinstance(criterion, MahalanobisCriterion):
+        groups, labels = (((0, 0),),), ("overall",)
+    elif isinstance(criterion, EffectTierCriterion):
+        effects = criterion.partition
+        groups = tuple(((0, h),) for h in range(len(effects)))
+        labels = tuple(f"tier_{h + 1}" for h in range(len(effects)))
+    elif isinstance(criterion, GridTierCriterion):
+        effects, covariates = criterion.effect_partition, criterion.covariate_partition
+        groups = criterion.grid.cells
+        labels = tuple(f"group_{j + 1}" for j in range(len(groups)))
+        report_cells = True
+    else:
+        raise ValidationError(f"unknown criterion {criterion!r}")
+    effects.validate(structure.f_count)
+    covariates.validate(covariate_count)
+    cells = tuple((t, h) for t in range(len(covariates)) for h in range(len(effects)))
+    index = {cell: i for i, cell in enumerate(cells)}
+    l_sizes, f_sizes = covariates.sizes(), effects.sizes()
+    return CriterionPlan(
+        structure=structure, sizes=sizes, effect_partition=effects,
+        covariate_partition=covariates, cells=cells,
+        groups=tuple(tuple(index[cell] for cell in group) for group in groups),
+        cutoffs=criterion.thresholds or (None,),
+        dims=tuple(sum(l_sizes[t] * f_sizes[h] for t, h in group) for group in groups),
+        labels=labels,
+        cell_labels=tuple(f"cell_{t + 1}_{h + 1}" for t, h in cells) if report_cells else ())
+
+
 def criterion_dimensions(criterion: BalanceCriterion, structure: FactorialStructure,
                          covariate_count: int) -> np.ndarray:
     """Chi-square dimension of each statistic the criterion thresholds."""
-    if covariate_count < 1:
-        raise ValidationError(f"covariate count must be >= 1, got {covariate_count}")
-    if isinstance(criterion, CompleteRandomization):
-        return np.empty(0)
-    if isinstance(criterion, MahalanobisCriterion):
-        return np.array([covariate_count * structure.f_count], dtype=float)
-    if isinstance(criterion, EffectTierCriterion):
-        criterion.partition.validate(structure.f_count)
-        return covariate_count * np.asarray(criterion.partition.sizes(), dtype=float)
-    if isinstance(criterion, GridTierCriterion):
-        criterion.effect_partition.validate(structure.f_count)
-        criterion.covariate_partition.validate(covariate_count)
-        return criterion.grid.dims(criterion.covariate_partition,
-                                   criterion.effect_partition)
-    raise ValidationError(f"unknown criterion {criterion!r}")
+    return criterion_plan(criterion, structure, None, covariate_count).limit_dims
 
 
 def criterion_cutoffs(criterion: BalanceCriterion) -> np.ndarray:
-    if isinstance(criterion, CompleteRandomization):
-        return np.empty(0)
-    if isinstance(criterion, MahalanobisCriterion):
-        return np.array([criterion.threshold], dtype=float)
     return np.asarray(criterion.thresholds, dtype=float)
 
 
@@ -196,6 +319,19 @@ def batch_group_means(values: np.ndarray, codes: np.ndarray,
     return sums / np.asarray(sizes.counts, dtype=float)[:, None]
 
 
+def stacked_cross(structure: FactorialStructure, group_sizes, left_rows: np.ndarray,
+                  cross_rows: np.ndarray) -> np.ndarray:
+    """(F, rows, L) covariances of the effect estimates with the
+    difference-in-means of the covariates under the coefficient rows
+    ``left_rows``: 4^{1-K} sum_q n_q^{-1} b_q (left_rows[:, q] x cross_rows[q]),
+    where ``cross_rows`` (Q x L) holds per-group outcome-covariate cross
+    moments."""
+    weights = 1.0 / np.asarray(group_sizes, dtype=float)
+    blocks = np.einsum("fq,gq,ql->fgl", structure.contrasts * weights, left_rows,
+                       cross_rows, optimize=True)
+    return 4.0 ** (1 - structure.k) * blocks
+
+
 def covariate_diff_in_means(x: np.ndarray, codes: np.ndarray,
                             structure: FactorialStructure) -> np.ndarray:
     """Stacked difference-in-means vector of the covariates.
@@ -255,30 +391,6 @@ def mahalanobis_effect_tiers(theta: np.ndarray, tiered: TieredCoefficients,
     return stats
 
 
-def mahalanobis_grid(e: np.ndarray, codes: np.ndarray,
-                     structure: FactorialStructure, sizes: GroupSizes,
-                     tiered: TieredCoefficients,
-                     covariate_partition: CovariateTierPartition,
-                     grid: TierGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Cell statistics and grouped sums for the grid criterion.
-
-    ``e`` must already be orthogonalized across covariate tiers.  Returns
-    ``(cells, sums)`` where ``cells[t, h]`` is the statistic of covariate
-    tier t against effect tier h and ``sums[j]`` adds the cells of grid
-    group j.
-    """
-    engine = CriterionEngine(
-        e, structure, sizes,
-        GridTierCriterion(effect_partition=tiered.partition,
-                          covariate_partition=covariate_partition,
-                          grid=grid,
-                          thresholds=(1.0,) * len(grid)),
-        _covariates_preorthogonalized=True)
-    cells = engine.grid_cells(np.asarray(codes)[None, :])[0]
-    sums = np.array([sum(cells[t, h] for (t, h) in cell) for cell in grid.cells])
-    return cells, sums
-
-
 # ---------------------------------------------------------------------------
 # batched evaluation
 
@@ -301,17 +413,15 @@ class BalanceReport:
 class CriterionEngine:
     """Precomputed machinery to evaluate one criterion on assignment batches.
 
-    Construction does all covariance and orthogonalization work once; the
-    per-batch cost is one group-sum pass and a few small matmuls.  Used by the
-    rerandomization loop and the simulation lab.
+    Construction does all covariance and orthogonalization work once, from
+    the criterion's plan; the per-batch cost is one group-sum pass and a few
+    small matmuls per grid cell.  Used by the rerandomization loop and the
+    simulation lab.
     """
 
     def __init__(self, x: np.ndarray, structure: FactorialStructure,
-                 sizes: GroupSizes, criterion: BalanceCriterion, *,
-                 _covariates_preorthogonalized: bool = False):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
+                 sizes: GroupSizes, criterion: BalanceCriterion):
+        x = _as_columns(x)
         sizes.validate_for(structure)
         if x.shape[0] != sizes.n:
             raise ValidationError(
@@ -321,68 +431,28 @@ class CriterionEngine:
         self.sizes = sizes
         self.criterion = criterion
         self.covariate_count = x.shape[1]
-        self._dims = criterion_dimensions(criterion, structure, x.shape[1])
-        self._cutoffs = criterion_cutoffs(criterion)
-        self._kind = type(criterion).__name__
+        self.plan = plan = criterion_plan(criterion, structure, sizes, x.shape[1])
+        self._dims = plan.limit_dims
+        self._cutoffs = plan.limits
+        if not self._cutoffs.size:  # complete randomization thresholds nothing
+            self._x, self._proj = x, None
+            return
 
-        scale = structure.scale
-        if isinstance(criterion, CompleteRandomization):
-            self._x = x  # kept only so diff diagnostics stay possible
-            self._proj = None
-        elif isinstance(criterion, MahalanobisCriterion):
-            self._x = x
-            self._proj = scale * structure.contrasts
-            self._left_inv = (sym_inverse(coefficient_gram(structure, sizes),
-                                          name="coefficient Gram matrix"),)
-            self._right_inv = (sym_inverse(population_covariance(x),
-                                           name="covariate covariance"),)
-            self._row_slices = (slice(0, structure.f_count),)
-            self._col_indices = (tuple(range(x.shape[1])),)
-            self._stat_cells = ((0,),)  # statistic j sums cell j only
-        elif isinstance(criterion, EffectTierCriterion):
-            tiered = orthogonalize_effects(structure, sizes, criterion.partition)
-            self.tiered = tiered
-            self._x = x
-            self._proj = scale * tiered.coeffs
-            self._left_inv = tuple(
-                sym_inverse(b, name=f"tier {h + 1} Gram block")
-                for h, b in enumerate(tiered.gram_blocks))
-            self._right_inv = (sym_inverse(population_covariance(x),
-                                           name="covariate covariance"),) * len(tiered.gram_blocks)
-            self._row_slices = tiered.block_slices
-            self._col_indices = (tuple(range(x.shape[1])),) * len(tiered.gram_blocks)
-            self._stat_cells = tuple((h,) for h in range(len(tiered.gram_blocks)))
-        elif isinstance(criterion, GridTierCriterion):
-            criterion.covariate_partition.validate(x.shape[1])
-            tiered = orthogonalize_effects(structure, sizes, criterion.effect_partition)
-            self.tiered = tiered
-            e = x if _covariates_preorthogonalized else orthogonalize_covariates(
-                x, criterion.covariate_partition)
-            self._x = e
-            self._proj = scale * tiered.coeffs
-            cov_tiers = criterion.covariate_partition.tiers
-            tier_inv = [sym_inverse(population_covariance(e[:, list(idx)]),
-                                    name=f"covariate tier {t + 1} covariance")
-                        for t, idx in enumerate(cov_tiers)]
-            left_inv, right_inv, rows, cols = [], [], [], []
-            self._cell_pairs = []
-            for t, idx in enumerate(cov_tiers):
-                for h in range(len(tiered.gram_blocks)):
-                    left_inv.append(sym_inverse(tiered.gram_blocks[h],
-                                                name=f"tier {h + 1} Gram block"))
-                    right_inv.append(tier_inv[t])
-                    rows.append(tiered.block_slices[h])
-                    cols.append(tuple(idx))
-                    self._cell_pairs.append((t, h))
-            self._left_inv = tuple(left_inv)
-            self._right_inv = tuple(right_inv)
-            self._row_slices = tuple(rows)
-            self._col_indices = tuple(cols)
-            cell_index = {pair: i for i, pair in enumerate(self._cell_pairs)}
-            self._stat_cells = tuple(
-                tuple(cell_index[pair] for pair in cell) for cell in criterion.grid.cells)
-        else:
-            raise ValidationError(f"unknown criterion {criterion!r}")
+        tiered = plan.tiered
+        self._x = e = plan.covariates(x)
+        self._proj = structure.scale * tiered.coeffs
+        tiers = plan.covariate_partition.tiers
+        gram_inv = [sym_inverse(b, name=f"tier {h + 1} Gram block")
+                    for h, b in enumerate(tiered.gram_blocks)]
+        cov_inv = [sym_inverse(population_covariance(e[:, list(idx)]),
+                               name=f"{plan.covariate_label(t)} covariance")
+                   for t, idx in enumerate(tiers)]
+        every = tuple(range(x.shape[1]))
+        self._left_inv = tuple(gram_inv[h] for _, h in plan.cells)
+        self._right_inv = tuple(cov_inv[t] for t, _ in plan.cells)
+        self._row_slices = tuple(tiered.block_slices[h] for _, h in plan.cells)
+        self._col_indices = tuple(None if tiers[t] == every else list(tiers[t])
+                                  for t, _ in plan.cells)
 
     @property
     def acceptance_probability(self) -> float:
@@ -403,32 +473,31 @@ class CriterionEngine:
         for i, (li, ri, rows, cols) in enumerate(zip(
                 self._left_inv, self._right_inv, self._row_slices, self._col_indices)):
             block = proj[:, rows, :]
-            if len(cols) != block.shape[2]:
-                block = block[:, :, list(cols)]
+            if cols is not None:
+                block = block[:, :, cols]
             out[:, i] = np.einsum("bfl,bfl->b", li @ block @ ri, block)
         return out
 
+    def _sum_groups(self, raw: np.ndarray) -> np.ndarray:
+        """(B, n_statistics) sums of the cell statistics over each group."""
+        if self._proj is None:
+            return raw
+        out = np.empty((raw.shape[0], len(self.plan.groups)))
+        for j, cell_ids in enumerate(self.plan.groups):
+            out[:, j] = raw[:, list(cell_ids)].sum(axis=1)
+        return out
+
     def grid_cells(self, codes: np.ndarray) -> np.ndarray:
-        """(B, T, H) per-cell statistics; grid criterion only."""
-        if not isinstance(self.criterion, GridTierCriterion):
-            raise ValidationError("grid_cells is only defined for the grid criterion")
-        raw = self._cell_stats(codes)
-        t_count = len(self.criterion.covariate_partition)
-        h_count = len(self.criterion.effect_partition)
-        cells = np.empty((codes.shape[0], t_count, h_count))
-        for i, (t, h) in enumerate(self._cell_pairs):
-            cells[:, t, h] = raw[:, i]
-        return cells
+        """(B, T, H) per-cell statistics of a criterion that thresholds any."""
+        if self._proj is None:
+            raise ValidationError("complete randomization computes no cell statistics")
+        return self._cell_stats(codes).reshape(
+            codes.shape[0], len(self.plan.covariate_partition),
+            len(self.plan.effect_partition))
 
     def statistics(self, codes: np.ndarray) -> np.ndarray:
         """(B, n_statistics) thresholded statistics for each assignment row."""
-        raw = self._cell_stats(codes)
-        if isinstance(self.criterion, CompleteRandomization):
-            return raw
-        out = np.empty((codes.shape[0], len(self._stat_cells)))
-        for j, cell_ids in enumerate(self._stat_cells):
-            out[:, j] = raw[:, list(cell_ids)].sum(axis=1)
-        return out
+        return self._sum_groups(self._cell_stats(codes))
 
     def accept(self, stats: np.ndarray) -> np.ndarray:
         """Boolean acceptance per batch row from :meth:`statistics` output."""
@@ -444,29 +513,11 @@ class CriterionEngine:
 
     def report(self, codes: np.ndarray) -> BalanceReport:
         """Full balance report for a single assignment."""
-        codes = np.asarray(codes)
-        batch = codes[None, :]
-        values: dict[str, float] = {}
-        limits: dict[str, float] = {}
-        stats = self.statistics(batch)[0]
-        if isinstance(self.criterion, CompleteRandomization):
-            passed = True
-        elif isinstance(self.criterion, MahalanobisCriterion):
-            values["overall"] = float(stats[0])
-            limits["overall"] = float(self._cutoffs[0])
-            passed = stats[0] <= self._cutoffs[0]
-        elif isinstance(self.criterion, EffectTierCriterion):
-            for h, value in enumerate(stats):
-                values[f"tier_{h + 1}"] = float(value)
-                limits[f"tier_{h + 1}"] = float(self._cutoffs[h])
-            passed = bool(np.all(stats <= self._cutoffs))
-        else:
-            cells = self.grid_cells(batch)[0]
-            for (t, h) in self._cell_pairs:
-                values[f"cell_{t + 1}_{h + 1}"] = float(cells[t, h])
-            for j, value in enumerate(stats):
-                values[f"group_{j + 1}"] = float(value)
-                limits[f"group_{j + 1}"] = float(self._cutoffs[j])
-            passed = bool(np.all(stats <= self._cutoffs))
-        return BalanceReport(values=values, limits=limits, passed=bool(passed),
+        raw = self._cell_stats(np.asarray(codes)[None, :])
+        stats = self._sum_groups(raw)[0]
+        values = dict(zip(self.plan.cell_labels, map(float, raw[0])))
+        values.update(zip(self.plan.labels, map(float, stats)))
+        return BalanceReport(values=values,
+                             limits=dict(zip(self.plan.labels, map(float, self._cutoffs))),
+                             passed=bool(np.all(stats <= self._cutoffs)),
                              acceptance_probability=self.acceptance_probability)

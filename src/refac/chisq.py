@@ -1,24 +1,18 @@
 """Scalar chi-square CDF and quantile primitives.
 
-CDF values come from the regularized incomplete gamma function, split the
-usual way between the power series (x < shape + 1) and the Lentz continued
-fraction; quantiles come from bracketed bisection.  Everything here is
-scalar and dependency-free so threshold computations reproduce to the
-documented tolerance on any platform.  Bulk (vectorised) inverse-CDF work
-lives elsewhere and goes through scipy.
+Thin validating wrappers over scipy's regularized incomplete gamma
+function (``special.gammainc``) and its inverse (``special.gammaincinv``).
 """
 
 from __future__ import annotations
 
 import math
 
+from scipy import special
+
 from .errors import ValidationError
 
-_MAX_ITER = 600
-_REL_EPS = 1e-15
-_TINY = 1e-300
-
-#: absolute tolerance of the bisection used by :func:`chi2_quantile`
+#: absolute accuracy guaranteed for :func:`chi2_quantile`
 QUANTILE_TOL = 1e-10
 
 
@@ -28,50 +22,7 @@ def regularized_gamma_p(shape: float, x: float) -> float:
         raise ValidationError(f"gamma shape must be positive, got {shape}")
     if x < 0.0:
         raise ValidationError(f"gamma argument must be nonnegative, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < shape + 1.0:
-        return _lower_series(shape, x)
-    return 1.0 - _upper_continued_fraction(shape, x)
-
-
-def _lower_series(shape: float, x: float) -> float:
-    # P(s, x) = x^s e^{-x} / Gamma(s) * sum_k x^k / (s (s+1) ... (s+k))
-    term = 1.0 / shape
-    total = term
-    denom = shape
-    for _ in range(_MAX_ITER):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * _REL_EPS:
-            break
-    log_scale = shape * math.log(x) - x - math.lgamma(shape)
-    return min(1.0, math.exp(log_scale) * total)
-
-
-def _upper_continued_fraction(shape: float, x: float) -> float:
-    # Q(s, x) via Lentz's algorithm for the standard continued fraction.
-    b = x + 1.0 - shape
-    c = 1.0 / _TINY
-    d = 1.0 / b if b != 0.0 else 1.0 / _TINY
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - shape)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _REL_EPS:
-            break
-    log_scale = shape * math.log(x) - x - math.lgamma(shape)
-    return max(0.0, math.exp(log_scale) * h)
+    return float(special.gammainc(shape, x))
 
 
 def chi2_cdf(x: float, df: int) -> float:
@@ -84,31 +35,16 @@ def chi2_cdf(x: float, df: int) -> float:
 
 
 def chi2_quantile(p: float, df: int) -> float:
-    """Quantile of the chi-square distribution by bracketed bisection.
-
-    Accurate to ``QUANTILE_TOL`` absolute.  ``p`` must lie strictly inside
-    (0, 1); degenerate endpoints have no finite quantile.
+    """Quantile of the chi-square distribution, accurate to ``QUANTILE_TOL``
+    absolute.  ``p`` must lie strictly inside (0, 1); degenerate endpoints
+    have no finite quantile.
     """
     if df < 1:
         raise ValidationError(f"chi-square df must be >= 1, got {df}")
     if not 0.0 < p < 1.0:
         raise ValidationError(
             f"quantile probability must lie strictly inside (0, 1), got {p}")
-    hi = df + 10.0 * math.sqrt(2.0 * df) + 10.0
-    for _ in range(200):
-        if chi2_cdf(hi, df) >= p:
-            break
-        hi *= 2.0
-    lo = 0.0
-    while hi - lo > QUANTILE_TOL:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # float resolution exhausted
-            break
-        if chi2_cdf(mid, df) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(2.0 * special.gammaincinv(0.5 * df, p))
 
 
 def truncation_variance_factor(df: int, cutoff: float | None) -> float:

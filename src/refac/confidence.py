@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotic import AsymptoticLaw, quantile_threshold, validate_contrast
-from .balance import BalanceCriterion
+from .balance import BalanceCriterion, criterion_plan
 from .design import FactorialStructure, GroupSizes
 from .errors import ValidationError
 from .estimate import (SampleMoments, effect_estimates, projection_coefficients,
@@ -73,9 +73,18 @@ def estimated_law(y_obs: np.ndarray, x: np.ndarray, assignment: Assignment,
                   structure: FactorialStructure, sizes: GroupSizes,
                   criterion: BalanceCriterion,
                   moments: SampleMoments | None = None) -> AsymptoticLaw:
-    """Plug-in estimate of the asymptotic law of ``tau_hat - tau``."""
+    """Plug-in estimate of the asymptotic law of ``tau_hat - tau``.
+
+    ``moments`` are the sample moments of the criterion plan's covariates,
+    as :func:`projection_coefficients` takes them; the residual variances
+    of the base are the same for ``x`` and for those covariates.
+    """
     if moments is None:
-        moments = sample_moments(y_obs, x, assignment)
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            x = x[:, None]
+        plan = criterion_plan(criterion, structure, None, x.shape[1])
+        moments = sample_moments(y_obs, plan.covariates(x), assignment)
     base = residual_covariance_estimate(moments, structure)
     components = projection_coefficients(y_obs, x, assignment, structure, sizes,
                                          criterion, moments=moments)
@@ -97,13 +106,14 @@ def confidence_set(y_obs: np.ndarray, x: np.ndarray, assignment: Assignment,
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie strictly inside (0, 1), got {alpha}")
-    if contrast is None:
-        contrast = np.eye(structure.f_count)
-    contrast = validate_contrast(contrast, structure.f_count)
+    if contrast is not None:
+        contrast = validate_contrast(contrast, structure.f_count)
     if law is None:
         law = estimated_law(y_obs, x, assignment, structure, sizes, criterion)
-    tau_hat = effect_estimates(y_obs, assignment, structure)
-    shape = contrast @ law.base_cov @ contrast.T
+    center = effect_estimates(y_obs, assignment, structure)
+    shape = law.base_cov.copy()
+    if contrast is not None:  # None is the identity, never multiplied
+        center, shape = contrast @ center, contrast @ shape @ contrast.T
     threshold = quantile_threshold(law, contrast, shape, alpha, rng, draws)
-    return ConfidenceSet(center=contrast @ tau_hat, shape=shape,
+    return ConfidenceSet(center=center, shape=shape,
                          threshold=threshold, alpha=alpha, draws=draws)

@@ -137,17 +137,19 @@ class GroupSizes:
         return cls(counts=(total // q_count,) * q_count)
 
 
-def coefficient_gram(structure: FactorialStructure, sizes: GroupSizes) -> np.ndarray:
+def coefficient_gram(structure: FactorialStructure, sizes: GroupSizes,
+                     per_group: float | np.ndarray = 1.0) -> np.ndarray:
     """Inverse-size-weighted Gram matrix of the coefficient columns.
 
     This F x F matrix is the effect-side factor of every imbalance
     covariance: the sampling covariance of the difference-in-means vector
     of a single covariate with unit population variance.  With equal group
-    sizes it reduces to (4/n) I.
+    sizes it reduces to (4/n) I.  ``per_group`` scales group q's weight
+    1/n_q, for instance by that group's outcome variance.
     """
     sizes.validate_for(structure)
     g = structure.contrasts
-    weights = 1.0 / sizes.as_array()
+    weights = per_group / sizes.as_array()
     return 4.0 ** (1 - structure.k) * ((g * weights) @ g.T)
 
 
@@ -282,21 +284,21 @@ def orthogonalize_effects(structure: FactorialStructure, sizes: GroupSizes,
     bounds = np.cumsum([0, *partition.sizes()])
     slices = tuple(slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]))
 
-    lower = np.eye(f_count)
-    for h in range(1, len(slices)):
-        blk = slices[h]
-        prev = slice(0, blk.start)
-        head = sym_inverse(b_tier[prev, prev], name=f"leading Gram block (tiers 1..{h})")
-        lower[blk, prev] = -b_tier[blk, prev] @ head
-
-    coeffs = lower @ g_tier
-    gram_c = lower @ b_tier @ lower.T
+    if len(slices) == 1:  # nothing to residualize: skip the F x F identity products
+        coeffs, gram_c, transform = g_tier, b_tier, np.eye(f_count)[:, order]
+    else:
+        lower = np.eye(f_count)
+        for h in range(1, len(slices)):
+            blk = slices[h]
+            prev = slice(0, blk.start)
+            head = sym_inverse(b_tier[prev, prev], name=f"leading Gram block (tiers 1..{h})")
+            lower[blk, prev] = -b_tier[blk, prev] @ head
+        coeffs = lower @ g_tier
+        gram_c = lower @ b_tier @ lower.T
+        # contrasts[order] = inv(lower) @ coeffs; undo the reordering on the left
+        transform = np.eye(f_count)[order].T @ np.linalg.solve(lower, np.eye(f_count))
     gram_c = 0.5 * (gram_c + gram_c.T)
     blocks = tuple(_readonly(0.5 * (gram_c[s, s] + gram_c[s, s].T)) for s in slices)
-
-    # contrasts[order] = inv(lower) @ coeffs; undo the reordering on the left
-    perm = np.eye(f_count)[order]
-    transform = perm.T @ np.linalg.solve(lower, np.eye(f_count))
 
     return TieredCoefficients(
         partition=partition,

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotic import LawComponent
-from .balance import (BalanceCriterion, CompleteRandomization, EffectTierCriterion,
-                      GridTierCriterion, MahalanobisCriterion, group_means)
-from .design import FactorialStructure, GroupSizes, orthogonalize_covariates, orthogonalize_effects
+from .balance import BalanceCriterion, criterion_plan, group_means
+from .design import FactorialStructure, GroupSizes, coefficient_gram
 from .errors import ValidationError
 from .linalg import population_covariance, sym_inv_sqrt, sym_inverse, sym_sqrt
 from .rerandomize import Assignment
@@ -111,18 +110,10 @@ def sample_moments(y_obs: np.ndarray, x: np.ndarray,
                          covariate_cov=covs, residual_variances=residual)
 
 
-def _weighted_outer(structure: FactorialStructure, sizes: tuple[int, ...],
-                    per_group: np.ndarray) -> np.ndarray:
-    # 4^{1-K} * sum_q per_group[q] / n_q * b_q b_q'
-    g = structure.contrasts
-    weights = np.asarray(per_group, dtype=float) / np.asarray(sizes, dtype=float)
-    return 4.0 ** (1 - structure.k) * ((g * weights) @ g.T)
-
-
 def neyman_covariance(moments: SampleMoments,
                       structure: FactorialStructure) -> np.ndarray:
     """Classical conservative covariance estimate ignoring covariates."""
-    return _weighted_outer(structure, moments.group_sizes, moments.variances)
+    return coefficient_gram(structure, GroupSizes(moments.group_sizes), moments.variances)
 
 
 def residual_covariance_estimate(moments: SampleMoments,
@@ -133,8 +124,8 @@ def residual_covariance_estimate(moments: SampleMoments,
     it is conservative for the covariate-unexplained part of the effect
     covariance.
     """
-    return _weighted_outer(structure, moments.group_sizes,
-                           moments.residual_variances)
+    return coefficient_gram(structure, GroupSizes(moments.group_sizes),
+                            moments.residual_variances)
 
 
 def _standardized_cross(cross: np.ndarray, within: np.ndarray,
@@ -149,17 +140,6 @@ def _standardized_cross(cross: np.ndarray, within: np.ndarray,
     return out
 
 
-def _stacked_cross_covariance(structure: FactorialStructure,
-                              sizes: tuple[int, ...], left_rows: np.ndarray,
-                              std_cross: np.ndarray) -> np.ndarray:
-    """4^{1-K} sum_q n_q^{-1} (b_q c_q') x u_q, flattened to (F, cols * L)."""
-    g = structure.contrasts
-    weights = 1.0 / np.asarray(sizes, dtype=float)
-    blocks = np.einsum("fq,gq,ql->fgl", g * weights, left_rows, std_cross,
-                       optimize=True)
-    return 4.0 ** (1 - structure.k) * blocks.reshape(structure.f_count, -1)
-
-
 def projection_coefficients(y_obs: np.ndarray, x: np.ndarray,
                             assignment: Assignment,
                             structure: FactorialStructure, sizes: GroupSizes,
@@ -169,75 +149,26 @@ def projection_coefficients(y_obs: np.ndarray, x: np.ndarray,
 
     One component per balance statistic (a single untruncated one for
     complete randomization), each scaled so its zeta vector is a standard
-    truncated Gaussian.
+    truncated Gaussian.  The criterion plan's law builder gets the
+    standardized per-group cross moments of each tier of the plan's
+    covariates.  ``moments`` are the :func:`sample_moments` of those
+    covariates (``x`` itself unless the criterion tiers the covariates);
+    they are computed here when omitted.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
     sizes.validate_for(structure)
-    from .balance import criterion_cutoffs  # local import keeps module load light
-
-    if isinstance(criterion, (CompleteRandomization, MahalanobisCriterion)):
-        if moments is None:
-            moments = sample_moments(y_obs, x, assignment)
-        target = population_covariance(x)
-        std = _standardized_cross(moments.cross_cov, moments.covariate_cov,
-                                  target, label="covariate")
-        stacked = _stacked_cross_covariance(structure, moments.group_sizes,
-                                            structure.contrasts, std)
-        from .balance import imbalance_covariance
-        kron = imbalance_covariance(structure, sizes, target)
-        coef = stacked @ kron.inv_sqrt_dense()
-        cutoff = None if isinstance(criterion, CompleteRandomization) else criterion.threshold
-        return [LawComponent(coef=coef, dim=coef.shape[1], cutoff=cutoff)]
-
-    if isinstance(criterion, EffectTierCriterion):
-        if moments is None:
-            moments = sample_moments(y_obs, x, assignment)
-        tiered = orthogonalize_effects(structure, sizes, criterion.partition)
-        target = population_covariance(x)
-        std = _standardized_cross(moments.cross_cov, moments.covariate_cov,
-                                  target, label="covariate")
-        right_isqrt = sym_inv_sqrt(target, name="covariate covariance")
-        components = []
-        for h, (block, s) in enumerate(zip(tiered.gram_blocks, tiered.block_slices)):
-            stacked = _stacked_cross_covariance(structure, moments.group_sizes,
-                                                tiered.coeffs[s], std)
-            left_isqrt = sym_inv_sqrt(block, name=f"tier {h + 1} Gram block")
-            coef = stacked @ np.kron(left_isqrt, right_isqrt)
-            components.append(LawComponent(coef=coef, dim=coef.shape[1],
-                                           cutoff=criterion.thresholds[h]))
-        return components
-
-    if isinstance(criterion, GridTierCriterion):
-        e = orthogonalize_covariates(x, criterion.covariate_partition)
-        moments_e = sample_moments(y_obs, e, assignment)
-        tiered = orthogonalize_effects(structure, sizes, criterion.effect_partition)
-        cov_tiers = criterion.covariate_partition.tiers
-        # per covariate tier: standardized cross moments and population isqrt
-        std_by_tier, isqrt_by_tier = {}, {}
-        for t, idx in enumerate(cov_tiers):
-            idx = list(idx)
-            target = population_covariance(e[:, idx])
-            within = moments_e.covariate_cov[:, :, idx][:, idx, :]
-            std_by_tier[t] = _standardized_cross(moments_e.cross_cov[:, idx],
-                                                 within, target,
-                                                 label=f"covariate tier {t + 1}")
-            isqrt_by_tier[t] = sym_inv_sqrt(target,
-                                            name=f"covariate tier {t + 1} covariance")
-        left_isqrts = [sym_inv_sqrt(b, name=f"tier {h + 1} Gram block")
-                       for h, b in enumerate(tiered.gram_blocks)]
-        components = []
-        for j, cell in enumerate(criterion.grid.cells):
-            pieces = []
-            for (t, h) in cell:
-                s = tiered.block_slices[h]
-                stacked = _stacked_cross_covariance(
-                    structure, moments_e.group_sizes, tiered.coeffs[s], std_by_tier[t])
-                pieces.append(stacked @ np.kron(left_isqrts[h], isqrt_by_tier[t]))
-            coef = np.hstack(pieces)
-            components.append(LawComponent(coef=coef, dim=coef.shape[1],
-                                           cutoff=criterion_cutoffs(criterion)[j]))
-        return components
-
-    raise ValidationError(f"unknown criterion {criterion!r}")
+    plan = criterion_plan(criterion, structure, sizes, x.shape[1])
+    e = plan.covariates(x)
+    if moments is None:
+        moments = sample_moments(y_obs, e, assignment)
+    cross, covariances = [], []
+    for t, idx in enumerate(plan.covariate_partition.tiers):
+        idx = list(idx)
+        target = population_covariance(e[:, idx])
+        within = moments.covariate_cov[:, idx][:, :, idx]
+        cross.append(_standardized_cross(moments.cross_cov[:, idx], within, target,
+                                         label=plan.covariate_label(t)))
+        covariances.append(target)
+    return plan.law_components(moments.group_sizes, cross, covariances)

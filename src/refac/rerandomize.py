@@ -121,23 +121,6 @@ def default_max_draws(acceptance_prob: float) -> int:
     return min(math.ceil(50.0 / acceptance_prob), MAX_DRAW_CAP)
 
 
-def acceptance_probability(criterion: BalanceCriterion, structure: FactorialStructure,
-                           covariate_count: int) -> float:
-    """Asymptotic acceptance probability of a criterion.
-
-    Product of the chi-square CDFs at the cutoffs; 1 for complete
-    randomization.
-    """
-    from . import chisq
-    from .balance import criterion_cutoffs, criterion_dimensions
-    dims = criterion_dimensions(criterion, structure, covariate_count)
-    cutoffs = criterion_cutoffs(criterion)
-    p = 1.0
-    for dim, a in zip(dims, cutoffs):
-        p *= chisq.chi2_cdf(float(a), int(dim))
-    return p
-
-
 def _batch_size(acceptance_prob: float, remaining: int) -> int:
     """Draws per batch of the rejection loop, from the acceptance probability.
 

@@ -20,15 +20,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 from scipy import special
 
-from .asymptotic import correlation_profile, simulate_law, variance_reduction
+from .asymptotic import simulate_law, variance_reduction
 from .balance import (BalanceCriterion, CompleteRandomization, CriterionEngine,
-                      criterion_cutoffs, criterion_dimensions)
+                      EffectTierCriterion)
 from .chisq import chi2_quantile
 from .confidence import confidence_set
 from .design import (EffectTierPartition, FactorialStructure, GroupSizes,
@@ -37,8 +37,7 @@ from .errors import ValidationError
 from .estimate import effect_estimates
 from .rerandomize import default_max_draws, rerandomize
 from .rng import stream
-from .truth import (criterion_profile, explained_effect_tiers, law_from_truth,
-                    population_truth)
+from .truth import law_from_truth, population_truth
 
 _COLUMN_KINDS = ("normal", "binary", "uniform")
 
@@ -437,15 +436,6 @@ def _collect_design(x, potential, structure, sizes, criterion, seed, d_index,
     return taus, draws, covers
 
 
-def _theory_reductions(x, potential, structure, sizes, criterion,
-                       covariate_count) -> np.ndarray:
-    if isinstance(criterion, CompleteRandomization):
-        return np.zeros(structure.f_count)
-    profile = criterion_profile(x, potential, structure, sizes, criterion)
-    dims = criterion_dimensions(criterion, structure, covariate_count)
-    return variance_reduction(profile, dims, criterion_cutoffs(criterion))
-
-
 def _summarize(name, taus, draws, covers, tau, baseline=None,
                theory_var_red=None, theory_range_red=None) -> DesignResult:
     reps = taus.shape[0]
@@ -559,9 +549,10 @@ def replicate(population: Population, structure: FactorialStructure,
         if d_index == 0:
             results.append(_summarize(name, taus, draws, covers, tau))
             continue
-        theory_var = _theory_reductions(x, potential, structure, sizes,
-                                        criterion, population.covariate_count)
         law = law_from_truth(x, potential, structure, sizes, criterion)
+        theory_var = variance_reduction(law.profile(truth.total_cov),
+                                        [c.dim for c in law.components],
+                                        [c.cutoff for c in law.components])
         phi = np.abs(simulate_law(law, stream(seed, 1, d_index), theory_draws))
         theory_range = 1.0 - np.quantile(phi, RANGE_QUANTILE, axis=0) / base_theory_range
         results.append(_summarize(name, taus, draws, covers, tau,
@@ -588,58 +579,23 @@ def report_rows(report: ReplicationReport) -> list[dict]:
     rows = []
     for res in report.all_results():
         for f, effect in enumerate(report.effect_names):
-            rows.append({
-                "design": res.name,
-                "effect": effect,
-                "reps": res.reps,
-                "true_effect": float(report.tau[f]),
-                "acceptance_rate": res.acceptance_rate,
-                "acceptance_rate_se": res.acceptance_rate_se,
-                "mean_draws": res.mean_draws,
-                "mean_error": float(res.mean_error[f]),
-                "mean_error_se": float(res.mean_error_se[f]),
-                "variance": float(res.variance[f]),
-                "variance_se": float(res.variance_se[f]),
-                "variance_reduction": float(res.variance_reduction[f]),
-                "variance_reduction_se": float(res.variance_reduction_se[f]),
-                "variance_reduction_theory": float(res.variance_reduction_theory[f]),
-                "quantile_range": float(res.quantile_range[f]),
-                "quantile_range_se": float(res.quantile_range_se[f]),
-                "quantile_range_reduction": float(res.quantile_range_reduction[f]),
-                "quantile_range_reduction_se": float(res.quantile_range_reduction_se[f]),
-                "quantile_range_reduction_theory":
-                    float(res.quantile_range_reduction_theory[f]),
-                "coverage": res.coverage,
-                "coverage_se": res.coverage_se,
-            })
+            row = {"design": res.name, "effect": effect, "reps": res.reps,
+                   "true_effect": float(report.tau[f])}
+            for item in fields(res)[2:]:  # every summary after name and reps
+                value = getattr(res, item.name)
+                row[item.name] = float(value[f]) if isinstance(value, np.ndarray) else value
+            rows.append(row)
     return rows
 
 
 def report_to_dict(report: ReplicationReport, include_timing: bool = False) -> dict:
     """JSON-ready dictionary form of a report."""
     def design_dict(res: DesignResult) -> dict:
-        return {
-            "name": res.name,
-            "reps": res.reps,
-            "acceptance_rate": res.acceptance_rate,
-            "acceptance_rate_se": res.acceptance_rate_se,
-            "mean_draws": res.mean_draws,
-            "mean_error": res.mean_error.tolist(),
-            "mean_error_se": res.mean_error_se.tolist(),
-            "variance": res.variance.tolist(),
-            "variance_se": res.variance_se.tolist(),
-            "variance_reduction": res.variance_reduction.tolist(),
-            "variance_reduction_se": res.variance_reduction_se.tolist(),
-            "variance_reduction_theory": res.variance_reduction_theory.tolist(),
-            "quantile_range": res.quantile_range.tolist(),
-            "quantile_range_se": res.quantile_range_se.tolist(),
-            "quantile_range_reduction": res.quantile_range_reduction.tolist(),
-            "quantile_range_reduction_se": res.quantile_range_reduction_se.tolist(),
-            "quantile_range_reduction_theory":
-                res.quantile_range_reduction_theory.tolist(),
-            "coverage": res.coverage,
-            "coverage_se": res.coverage_se,
-        }
+        out = {}
+        for item in fields(res):
+            value = getattr(res, item.name)
+            out[item.name] = value.tolist() if isinstance(value, np.ndarray) else value
+        return out
 
     out = {
         "seed": report.seed,
@@ -701,14 +657,11 @@ def tradeoff_sweep(x: np.ndarray, potential: np.ndarray,
         raise ValidationError(
             f"overall acceptance probability must lie strictly inside (0, 1), "
             f"got {overall_probability}")
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    l_count = x.shape[1]
-    truth = population_truth(x, potential, structure, sizes)
-    parts = explained_effect_tiers(x, potential, structure, sizes, partition)
-    profile = correlation_profile(truth.total_cov, parts)
-    dims = np.asarray([l_count * s for s in partition.sizes()], dtype=float)
+    # the law's coefficients do not depend on the cutoffs, so any will do
+    law = law_from_truth(x, potential, structure, sizes,
+                         EffectTierCriterion(partition, (1.0, 1.0)))
+    profile = law.profile(population_truth(x, potential, structure, sizes).total_cov)
+    dims = [c.dim for c in law.components]
 
     points = []
     for p1 in lead_probabilities:

@@ -12,13 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotic import AsymptoticLaw, CorrelationProfile, LawComponent, correlation_profile
-from .balance import (BalanceCriterion, CompleteRandomization, EffectTierCriterion,
-                      GridTierCriterion, MahalanobisCriterion)
-from .design import (FactorialStructure, GroupSizes, coefficient_gram,
-                     orthogonalize_covariates, orthogonalize_effects)
+from .asymptotic import AsymptoticLaw, CorrelationProfile, correlation_profile
+from .balance import BalanceCriterion, criterion_plan, stacked_cross
+from .design import FactorialStructure, GroupSizes, coefficient_gram
 from .errors import ValidationError
-from .linalg import KroneckerPSD, population_covariance, sym_inv_sqrt, sym_inverse
+from .linalg import KroneckerPSD, population_covariance, sym_inverse
 
 
 def _check_tables(x: np.ndarray, potential: np.ndarray,
@@ -43,11 +41,9 @@ def _effect_cov_from_potentials(potential: np.ndarray, structure: FactorialStruc
                                 sizes: GroupSizes) -> np.ndarray:
     """Exact sampling covariance of the effect estimator for one potential table."""
     g = structure.contrasts
-    scale4 = 4.0 ** (1 - structure.k)
     syy = population_covariance(potential)
     s_tau = structure.scale ** 2 * (g @ syy @ g.T)
-    weights = np.diag(syy) / sizes.as_array()
-    return scale4 * ((g * weights) @ g.T) - s_tau / sizes.n
+    return coefficient_gram(structure, sizes, np.diag(syy)) - s_tau / sizes.n
 
 
 @dataclass(frozen=True)
@@ -86,16 +82,12 @@ def population_truth(x: np.ndarray, potential: np.ndarray,
     """
     x, potential = _check_tables(x, potential, structure, sizes)
     g = structure.contrasts
-    scale4 = 4.0 ** (1 - structure.k)
-
     tau = structure.scale * g @ potential.mean(axis=0)
     total = _effect_cov_from_potentials(potential, structure, sizes)
 
     sxx = population_covariance(x)
     sqx = population_covariance(potential, x)          # (Q, L)
-    weights = 1.0 / sizes.as_array()
-    cross = scale4 * np.einsum("fq,gq,ql->fgl", g * weights, g, sqx,
-                               optimize=True).reshape(structure.f_count, -1)
+    cross = stacked_cross(structure, sizes.counts, g, sqx).reshape(structure.f_count, -1)
 
     centered_x = x - x.mean(axis=0)
     projected = potential.mean(axis=0) + centered_x @ sym_inverse(
@@ -114,61 +106,7 @@ def population_truth(x: np.ndarray, potential: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# per-component explained covariances
-
-
-def _stacked_cross(structure: FactorialStructure, sizes: GroupSizes,
-                   left_rows: np.ndarray, sq_cross: np.ndarray) -> np.ndarray:
-    g = structure.contrasts
-    weights = 1.0 / sizes.as_array()
-    blocks = np.einsum("fq,gq,ql->fgl", g * weights, left_rows, sq_cross,
-                       optimize=True)
-    return 4.0 ** (1 - structure.k) * blocks.reshape(structure.f_count, -1)
-
-
-def explained_effect_tiers(x: np.ndarray, potential: np.ndarray,
-                           structure: FactorialStructure, sizes: GroupSizes,
-                           partition) -> list[np.ndarray]:
-    """Per-effect-tier explained covariance blocks (F x F each).
-
-    These add up to the overall explained covariance; the decomposition is
-    exact because the orthogonalized tier statistics are uncorrelated.
-    """
-    x, potential = _check_tables(x, potential, structure, sizes)
-    tiered = orthogonalize_effects(structure, sizes, partition)
-    sxx = population_covariance(x)
-    sqx = population_covariance(potential, x)
-    out = []
-    for h, (block, s) in enumerate(zip(tiered.gram_blocks, tiered.block_slices)):
-        stacked = _stacked_cross(structure, sizes, tiered.coeffs[s], sqx)
-        kron = KroneckerPSD(block, sxx, name=f"tier {h + 1} imbalance covariance")
-        out.append(stacked @ kron.inv_dense() @ stacked.T)
-    return out
-
-
-def explained_grid(x: np.ndarray, potential: np.ndarray,
-                   structure: FactorialStructure, sizes: GroupSizes,
-                   effect_partition, covariate_partition, grid) -> list[np.ndarray]:
-    """Per-grid-group explained covariance blocks (F x F each)."""
-    x, potential = _check_tables(x, potential, structure, sizes)
-    covariate_partition.validate(x.shape[1])
-    tiered = orthogonalize_effects(structure, sizes, effect_partition)
-    e = orthogonalize_covariates(x, covariate_partition)
-    grid.validate(len(covariate_partition), len(effect_partition))
-    out = []
-    for cell in grid.cells:
-        total = np.zeros((structure.f_count, structure.f_count))
-        for (t, h) in cell:
-            idx = list(covariate_partition.tiers[t])
-            s = tiered.block_slices[h]
-            sqe = population_covariance(potential, e[:, idx])
-            see = population_covariance(e[:, idx])
-            stacked = _stacked_cross(structure, sizes, tiered.coeffs[s], sqe)
-            kron = KroneckerPSD(tiered.gram_blocks[h], see,
-                                name=f"cell ({t + 1}, {h + 1}) imbalance covariance")
-            total += stacked @ kron.inv_dense() @ stacked.T
-        out.append(total)
-    return out
+# pairwise explained shares
 
 
 def pairwise_explained(truth: PopulationTruth) -> np.ndarray:
@@ -199,19 +137,8 @@ def criterion_profile(x: np.ndarray, potential: np.ndarray,
                       structure: FactorialStructure, sizes: GroupSizes,
                       criterion: BalanceCriterion) -> CorrelationProfile:
     """Correlation profile with one component per balance statistic."""
-    truth = population_truth(x, potential, structure, sizes)
-    if isinstance(criterion, (CompleteRandomization, MahalanobisCriterion)):
-        return overall_profile(truth)
-    if isinstance(criterion, EffectTierCriterion):
-        parts = explained_effect_tiers(x, potential, structure, sizes,
-                                       criterion.partition)
-    elif isinstance(criterion, GridTierCriterion):
-        parts = explained_grid(x, potential, structure, sizes,
-                               criterion.effect_partition,
-                               criterion.covariate_partition, criterion.grid)
-    else:
-        raise ValidationError(f"unknown criterion {criterion!r}")
-    return correlation_profile(truth.total_cov, parts)
+    law = law_from_truth(x, potential, structure, sizes, criterion)
+    return law.profile(population_truth(x, potential, structure, sizes).total_cov)
 
 
 def law_from_truth(x: np.ndarray, potential: np.ndarray,
@@ -219,45 +146,17 @@ def law_from_truth(x: np.ndarray, potential: np.ndarray,
                    criterion: BalanceCriterion) -> AsymptoticLaw:
     """Exact asymptotic law of the centered effect estimator.
 
-    Coefficients use the cross-covariance times inverse-square-root
-    convention; the simulated law does not depend on that choice.
+    The criterion plan's law builder gets the population cross-covariances
+    of the outcomes with each tier of the plan's covariates.  Coefficients
+    use the cross-covariance times inverse-square-root convention; the
+    simulated law does not depend on that choice.
     """
     x, potential = _check_tables(x, potential, structure, sizes)
     truth = population_truth(x, potential, structure, sizes)
-
-    if isinstance(criterion, (CompleteRandomization, MahalanobisCriterion)):
-        coef = truth.cross_cov @ truth.imbalance().inv_sqrt_dense()
-        cutoff = None if isinstance(criterion, CompleteRandomization) else criterion.threshold
-        components = [LawComponent(coef=coef, dim=coef.shape[1], cutoff=cutoff)]
-    elif isinstance(criterion, EffectTierCriterion):
-        tiered = orthogonalize_effects(structure, sizes, criterion.partition)
-        sqx = population_covariance(potential, x)
-        components = []
-        for h, (block, s) in enumerate(zip(tiered.gram_blocks, tiered.block_slices)):
-            stacked = _stacked_cross(structure, sizes, tiered.coeffs[s], sqx)
-            kron = KroneckerPSD(block, truth.covariate_cov,
-                                name=f"tier {h + 1} imbalance covariance")
-            coef = stacked @ kron.inv_sqrt_dense()
-            components.append(LawComponent(coef=coef, dim=coef.shape[1],
-                                           cutoff=criterion.thresholds[h]))
-    elif isinstance(criterion, GridTierCriterion):
-        tiered = orthogonalize_effects(structure, sizes, criterion.effect_partition)
-        e = orthogonalize_covariates(x, criterion.covariate_partition)
-        components = []
-        for j, cell in enumerate(criterion.grid.cells):
-            pieces = []
-            for (t, h) in cell:
-                idx = list(criterion.covariate_partition.tiers[t])
-                s = tiered.block_slices[h]
-                sqe = population_covariance(potential, e[:, idx])
-                see = population_covariance(e[:, idx])
-                stacked = _stacked_cross(structure, sizes, tiered.coeffs[s], sqe)
-                kron = KroneckerPSD(tiered.gram_blocks[h], see,
-                                    name=f"cell ({t + 1}, {h + 1}) imbalance covariance")
-                pieces.append(stacked @ kron.inv_sqrt_dense())
-            coef = np.hstack(pieces)
-            components.append(LawComponent(coef=coef, dim=coef.shape[1],
-                                           cutoff=criterion.thresholds[j]))
-    else:
-        raise ValidationError(f"unknown criterion {criterion!r}")
+    plan = criterion_plan(criterion, structure, sizes, x.shape[1])
+    e = plan.covariates(x)
+    blocks = [e[:, list(idx)] for idx in plan.covariate_partition.tiers]
+    components = plan.law_components(
+        sizes.counts, [population_covariance(potential, block) for block in blocks],
+        [population_covariance(block) for block in blocks])
     return AsymptoticLaw(base_cov=truth.residual_cov, components=tuple(components))

@@ -9,9 +9,9 @@ from refac.balance import (BalanceReport, CompleteRandomization,
                            GridTierCriterion, MahalanobisCriterion,
                            batch_group_means, covariate_diff_in_means,
                            criterion_cutoffs, criterion_dimensions,
-                           group_means, imbalance_covariance,
-                           mahalanobis_effect_tiers, mahalanobis_grid,
-                           mahalanobis_overall, orthogonalized_diff_in_means,
+                           criterion_plan, group_means, imbalance_covariance,
+                           mahalanobis_effect_tiers, mahalanobis_overall,
+                           orthogonalized_diff_in_means,
                            thresholds_from_probability)
 from refac.design import (CovariateTierPartition, EffectTierPartition,
                           GroupSizes, TierGrid, build_structure,
@@ -225,13 +225,22 @@ def test_tier_statistics_sum_to_overall():
         np.testing.assert_allclose(stats.sum(), overall, rtol=1e-10)
 
 
+def _grid_statistics(x, codes, s, sizes, part, cov_part, grid):
+    """(cells, sums) of the grid criterion's engine for one assignment."""
+    engine = CriterionEngine(x, s, sizes, GridTierCriterion(
+        effect_partition=part, covariate_partition=cov_part, grid=grid,
+        thresholds=(1.0,) * len(grid)))
+    batch = codes[None, :]
+    return engine.grid_cells(batch)[0], engine.statistics(batch)[0]
+
+
 def test_grid_cells_match_effect_tiers_for_single_covariate_tier():
     s, sizes, x, codes = _setup(34, k=2, counts=(5, 5, 6, 4), l_count=2)
     part = partition_by_order(s)
     tiered = orthogonalize_effects(s, sizes, part)
     cov_part = CovariateTierPartition(((0, 1),))
     grid = TierGrid.triangular(1, 2)
-    cells, sums = mahalanobis_grid(x, codes, s, sizes, tiered, cov_part, grid)
+    cells, sums = _grid_statistics(x, codes, s, sizes, part, cov_part, grid)
     theta = orthogonalized_diff_in_means(x, codes, s, tiered)
     tier_stats = mahalanobis_effect_tiers(theta, tiered,
                                           np.cov(x, rowvar=False, ddof=1))
@@ -242,11 +251,9 @@ def test_grid_cells_match_effect_tiers_for_single_covariate_tier():
 def test_grid_sums_add_cells_by_group():
     s, sizes, x, codes = _setup(35, l_count=3)
     part = partition_by_order(s)
-    tiered = orthogonalize_effects(s, sizes, part)
     cov_part = CovariateTierPartition(((0,), (1, 2)))
-    e = orthogonalize_covariates(x, cov_part)
     grid = TierGrid.triangular(2, 2)
-    cells, sums = mahalanobis_grid(e, codes, s, sizes, tiered, cov_part, grid)
+    cells, sums = _grid_statistics(x, codes, s, sizes, part, cov_part, grid)
     assert cells.shape == (2, 2)
     np.testing.assert_allclose(
         sums, [cells[0, 0], cells[0, 1] + cells[1, 0] + cells[1, 1]],
@@ -282,10 +289,61 @@ def test_engine_matches_standalone_statistics():
     crit = GridTierCriterion(effect_partition=part, covariate_partition=cov_part,
                              grid=grid, thresholds=(1.0, 2.0))
     engine = CriterionEngine(x, s, sizes, crit)
+    # cell (t, h) is tier h's statistic on covariate tier t of the
+    # orthogonalized covariates; group j adds the cells of grid group j
     e = orthogonalize_covariates(x, cov_part)
-    cells, sums = mahalanobis_grid(e, codes, s, sizes, tiered, cov_part, grid)
+    cells = np.array([
+        mahalanobis_effect_tiers(
+            orthogonalized_diff_in_means(e[:, list(idx)], codes, s, tiered),
+            tiered, np.cov(e[:, list(idx)], rowvar=False, ddof=1).reshape(len(idx), -1))
+        for idx in cov_part.tiers])
+    sums = np.array([sum(cells[t, h] for t, h in cell) for cell in grid.cells])
     np.testing.assert_allclose(engine.grid_cells(batch)[0], cells, rtol=1e-10)
     np.testing.assert_allclose(engine.statistics(batch)[0], sums, rtol=1e-10)
+
+
+def test_single_covariate_tier_in_any_column_order_is_the_overall_statistic():
+    # a tier that lists every column out of order once paired the covariance
+    # of the reordered columns with the differences in the original order
+    s, sizes, x, codes = _setup(36)
+    everything = EffectTierPartition((tuple(range(s.f_count)),))
+    overall = CriterionEngine(x, s, sizes, MahalanobisCriterion(5.0))
+    for order in [(0, 1, 2), (2, 0, 1), (1, 2, 0)]:
+        grid = CriterionEngine(x, s, sizes, GridTierCriterion(
+            effect_partition=everything,
+            covariate_partition=CovariateTierPartition((order,)),
+            grid=TierGrid.triangular(1, 1), thresholds=(5.0,)))
+        np.testing.assert_allclose(grid.statistics(codes[None, :]),
+                                   overall.statistics(codes[None, :]), rtol=1e-12)
+
+
+def test_criterion_plan_cells_groups_and_labels():
+    s = build_structure(2)
+    sizes = GroupSizes((4, 5, 6, 7))
+    part = partition_by_order(s)
+    overall = criterion_plan(MahalanobisCriterion(2.0), s, sizes, 3)
+    assert overall.cells == ((0, 0),) and overall.groups == ((0,),)
+    assert overall.cutoffs == (2.0,) and overall.dims == (9,)
+    assert overall.labels == ("overall",) and overall.cell_labels == ()
+    # a single effect tier is the raw contrasts and the coefficient Gram matrix
+    np.testing.assert_array_equal(overall.tiered.coeffs, s.contrasts)
+    np.testing.assert_array_equal(overall.tiered.gram_blocks[0],
+                                  coefficient_gram(s, sizes))
+    complete = criterion_plan(CompleteRandomization(), s, sizes, 3)
+    assert complete.groups == ((0,),) and complete.cutoffs == (None,)
+    assert complete.labels == () and complete.limits.size == 0
+    tiers = criterion_plan(EffectTierCriterion(part, (2.0, 9.0)), s, None, 3)
+    assert tiers.cells == ((0, 0), (0, 1)) and tiers.groups == ((0,), (1,))
+    assert tiers.labels == ("tier_1", "tier_2") and tiers.dims == (6, 3)
+    with pytest.raises(ValidationError, match="group sizes"):
+        tiers.tiered
+    grid = criterion_plan(GridTierCriterion(
+        part, CovariateTierPartition(((0,), (1, 2))), TierGrid.triangular(2, 2),
+        (0.5, 30.0)), s, sizes, 3)
+    assert grid.cells == ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert grid.groups == ((0,), (1, 2, 3))
+    assert grid.cell_labels == ("cell_1_1", "cell_1_2", "cell_2_1", "cell_2_2")
+    assert grid.labels == ("group_1", "group_2") and grid.dims == (2, 7)
 
 
 def test_engine_acceptance_probability_is_product_of_tier_masses():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from refac.asymptotic import quadratic_form_samples
 from refac.balance import (CompleteRandomization, MahalanobisCriterion,
                            thresholds_from_probability)
 from refac.chisq import chi2_quantile
@@ -116,6 +117,27 @@ def test_confidence_set_contrast_projects():
     np.testing.assert_allclose(cs.center,
                                contrast @ effect_estimates(y, a, s),
                                atol=1e-12)
+
+
+def test_default_identity_contrast_matches_an_explicit_identity():
+    # contrast=None skips the identity product and its SVD check; on the
+    # same stream it must give the same set as np.eye
+    s, sizes, x, potential, rng = _setup(106)
+    a = draw_assignment(sizes, rng)
+    y = _observed(potential, a)
+    crit = MahalanobisCriterion(float(thresholds_from_probability(6, 0.2)[0]))
+    implicit = confidence_set(y, x, a, s, sizes, crit, rng=stream(106, 1),
+                              draws=5000)
+    explicit = confidence_set(y, x, a, s, sizes, crit, contrast=np.eye(3),
+                              rng=stream(106, 1), draws=5000)
+    np.testing.assert_allclose(implicit.center, explicit.center, rtol=1e-12)
+    np.testing.assert_allclose(implicit.shape, explicit.shape, rtol=1e-12)
+    assert implicit.threshold == pytest.approx(explicit.threshold, rel=1e-12)
+    law = estimated_law(y, x, a, s, sizes, crit)
+    np.testing.assert_allclose(
+        quadratic_form_samples(law, None, law.base_cov, stream(106, 2), 5000),
+        quadratic_form_samples(law, np.eye(3), law.base_cov, stream(106, 2), 5000),
+        rtol=1e-12)
 
 
 def test_confidence_set_validates_alpha():

@@ -11,7 +11,7 @@ from refac.balance import (CompleteRandomization, CriterionEngine,
 from refac.design import GroupSizes, build_structure
 from refac.errors import ValidationError
 from refac.rerandomize import (MAX_DRAW_CAP, Assignment, MaxDrawsExceeded,
-                               acceptance_probability, default_max_draws,
+                               default_max_draws,
                                draw_assignment, draw_assignment_batch,
                                rerandomize)
 from refac.rng import stream
@@ -109,18 +109,6 @@ def test_default_max_draws():
         default_max_draws(0.0)
     with pytest.raises(ValidationError):
         default_max_draws(1.5)
-
-
-def test_acceptance_probability_matches_engine():
-    rng = stream(51, 3)
-    s = build_structure(2)
-    sizes = GroupSizes.equal(4, 40)
-    x = rng.standard_normal((40, 2))
-    crit = MahalanobisCriterion(3.0)
-    engine = CriterionEngine(x, s, sizes, crit)
-    assert acceptance_probability(crit, s, 2) == pytest.approx(
-        engine.acceptance_probability, abs=1e-15)
-    assert acceptance_probability(CompleteRandomization(), s, 2) == 1.0
 
 
 # ---------------------------------------------------------------------------

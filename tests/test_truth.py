@@ -11,8 +11,7 @@ from refac.design import (CovariateTierPartition, EffectTierPartition,
                           partition_by_order)
 from refac.errors import ValidationError
 from refac.rng import stream
-from refac.truth import (criterion_profile, explained_effect_tiers,
-                         explained_grid, law_from_truth, overall_profile,
+from refac.truth import (criterion_profile, law_from_truth, overall_profile,
                          pairwise_explained, population_truth)
 
 
@@ -28,6 +27,12 @@ def _heterogeneous_population(seed, n=96, k=2, l_count=3,
     potential = x @ slopes.T + shifts + 0.7 * rng.standard_normal(
         (sizes.n, s.q_count))
     return s, sizes, x, potential
+
+
+def _explained(x, potential, s, sizes, criterion):
+    """Per-component explained covariance blocks (F x F each), coef coef'."""
+    law = law_from_truth(x, potential, s, sizes, criterion)
+    return [c.coef @ c.coef.T for c in law.components]
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +112,8 @@ def test_effect_tier_blocks_sum_to_the_explained_covariance():
     for tiers in [((0, 1, 2), (3, 4, 5, 6)),
                   ((5,), (0, 1, 2, 3), (4, 6)),
                   (tuple(range(7)),)]:
-        blocks = explained_effect_tiers(x, potential, s, sizes,
-                                        EffectTierPartition(tiers))
+        blocks = _explained(x, potential, s, sizes, EffectTierCriterion(
+            EffectTierPartition(tiers), (1.0,) * len(tiers)))
         assert len(blocks) == len(tiers)
         np.testing.assert_allclose(sum(blocks), truth.explained_cov,
                                    atol=1e-10)
@@ -119,8 +124,8 @@ def test_grid_blocks_sum_to_the_explained_covariance():
     truth = population_truth(x, potential, s, sizes)
     eff = partition_by_order(s)
     cov = CovariateTierPartition(((0, 2), (1,)))
-    blocks = explained_grid(x, potential, s, sizes, eff, cov,
-                            TierGrid.triangular(2, 2))
+    blocks = _explained(x, potential, s, sizes, GridTierCriterion(
+        eff, cov, TierGrid.triangular(2, 2), (1.0, 1.0)))
     assert len(blocks) == 2
     np.testing.assert_allclose(sum(blocks), truth.explained_cov, atol=1e-10)
 
@@ -192,7 +197,8 @@ def test_tiered_law_covariance_uses_per_tier_factors():
     thresholds = (2.5, 9.0)
     law = law_from_truth(x, potential, s, sizes, EffectTierCriterion(
         partition=part, thresholds=thresholds))
-    blocks = explained_effect_tiers(x, potential, s, sizes, part)
+    blocks = _explained(x, potential, s, sizes, EffectTierCriterion(
+        partition=part, thresholds=(1.0, 1.0)))
     expected = truth.residual_cov.copy()
     for comp, block, a in zip(law.components, blocks, thresholds):
         v = truncation_variance_factor(comp.dim, a)
@@ -211,7 +217,9 @@ def test_grid_law_covariance_uses_per_group_factors():
     crit = GridTierCriterion(effect_partition=eff, covariate_partition=cov,
                              grid=grid, thresholds=thresholds)
     law = law_from_truth(x, potential, s, sizes, crit)
-    blocks = explained_grid(x, potential, s, sizes, eff, cov, grid)
+    blocks = _explained(x, potential, s, sizes, GridTierCriterion(
+        effect_partition=eff, covariate_partition=cov, grid=grid,
+        thresholds=(1.0, 1.0)))
     truth = population_truth(x, potential, s, sizes)
     expected = truth.residual_cov.copy()
     for comp, block, a in zip(law.components, blocks, thresholds):
