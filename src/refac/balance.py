@@ -488,7 +488,7 @@ class CriterionEngine:
         return out
 
     def grid_cells(self, codes: np.ndarray) -> np.ndarray:
-        """(B, T, H) per-cell statistics of a criterion that thresholds any."""
+        """(B, T, H) per-cell statistics; complete randomization has none."""
         if self._proj is None:
             raise ValidationError("complete randomization computes no cell statistics")
         return self._cell_stats(codes).reshape(
