@@ -78,6 +78,9 @@ def _radius_plan(dim: int, cutoff: float) -> tuple[str, float]:
 
 def _rejection_sample(propose, rate: float, size: int) -> np.ndarray:
     """The first ``size`` accepted values of ``propose(n) -> (values, kept)``."""
+    # a round acceptance rate puts 1.1 * need / rate on an integer; rounding
+    # the rate keeps the chunk sizes, and so the stream, off its round-off
+    rate = float(f"{rate:.10g}")
     out = np.empty(size)
     filled = 0
     while filled < size:

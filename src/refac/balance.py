@@ -224,13 +224,12 @@ def criterion_plan(criterion: BalanceCriterion, structure: FactorialStructure,
     covariates.validate(covariate_count)
     cells = tuple((t, h) for t in range(len(covariates)) for h in range(len(effects)))
     index = {cell: i for i, cell in enumerate(cells)}
-    l_sizes, f_sizes = covariates.sizes(), effects.sizes()
     return CriterionPlan(
         structure=structure, sizes=sizes, effect_partition=effects,
         covariate_partition=covariates, cells=cells,
         groups=tuple(tuple(index[cell] for cell in group) for group in groups),
         cutoffs=criterion.thresholds or (None,),
-        dims=tuple(sum(l_sizes[t] * f_sizes[h] for t, h in group) for group in groups),
+        dims=tuple(int(d) for d in TierGrid(groups).dims(covariates, effects)),
         labels=labels,
         cell_labels=tuple(f"cell_{t + 1}_{h + 1}" for t, h in cells) if report_cells else ())
 

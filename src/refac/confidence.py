@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotic import AsymptoticLaw, quantile_threshold, validate_contrast
-from .balance import BalanceCriterion, criterion_plan
+from .balance import BalanceCriterion
 from .design import FactorialStructure, GroupSizes
 from .errors import ValidationError
 from .estimate import (SampleMoments, effect_estimates, projection_coefficients,
@@ -73,18 +73,9 @@ def estimated_law(y_obs: np.ndarray, x: np.ndarray, assignment: Assignment,
                   structure: FactorialStructure, sizes: GroupSizes,
                   criterion: BalanceCriterion,
                   moments: SampleMoments | None = None) -> AsymptoticLaw:
-    """Plug-in estimate of the asymptotic law of ``tau_hat - tau``.
-
-    ``moments`` are the sample moments of the criterion plan's covariates,
-    as :func:`projection_coefficients` takes them; the residual variances
-    of the base are the same for ``x`` and for those covariates.
-    """
+    """Plug-in estimate of the asymptotic law of ``tau_hat - tau``."""
     if moments is None:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        plan = criterion_plan(criterion, structure, None, x.shape[1])
-        moments = sample_moments(y_obs, plan.covariates(x), assignment)
+        moments = sample_moments(y_obs, x, assignment)
     base = residual_covariance_estimate(moments, structure)
     components = projection_coefficients(y_obs, x, assignment, structure, sizes,
                                          criterion, moments=moments)

@@ -284,21 +284,21 @@ def orthogonalize_effects(structure: FactorialStructure, sizes: GroupSizes,
     bounds = np.cumsum([0, *partition.sizes()])
     slices = tuple(slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]))
 
-    if len(slices) == 1:  # nothing to residualize: skip the F x F identity products
-        coeffs, gram_c, transform = g_tier, b_tier, np.eye(f_count)[:, order]
-    else:
-        lower = np.eye(f_count)
-        for h in range(1, len(slices)):
-            blk = slices[h]
-            prev = slice(0, blk.start)
-            head = sym_inverse(b_tier[prev, prev], name=f"leading Gram block (tiers 1..{h})")
-            lower[blk, prev] = -b_tier[blk, prev] @ head
-        coeffs = lower @ g_tier
-        gram_c = lower @ b_tier @ lower.T
-        # contrasts[order] = inv(lower) @ coeffs; undo the reordering on the left
-        transform = np.eye(f_count)[order].T @ np.linalg.solve(lower, np.eye(f_count))
+    lower = np.eye(f_count)
+    for h in range(1, len(slices)):
+        blk = slices[h]
+        prev = slice(0, blk.start)
+        head = sym_inverse(b_tier[prev, prev], name=f"leading Gram block (tiers 1..{h})")
+        lower[blk, prev] = -b_tier[blk, prev] @ head
+
+    coeffs = lower @ g_tier
+    gram_c = lower @ b_tier @ lower.T
     gram_c = 0.5 * (gram_c + gram_c.T)
     blocks = tuple(_readonly(0.5 * (gram_c[s, s] + gram_c[s, s].T)) for s in slices)
+
+    # contrasts[order] = inv(lower) @ coeffs; undo the reordering on the left
+    perm = np.eye(f_count)[order]
+    transform = perm.T @ np.linalg.solve(lower, np.eye(f_count))
 
     return TieredCoefficients(
         partition=partition,
@@ -386,10 +386,9 @@ class TierGrid:
                                 f"({t, h}) in later group {j + 1}")
 
     def dims(self, covariate_partition: CovariateTierPartition,
-             effect_partition: EffectTierPartition,
-             covariate_tier_sizes: tuple[int, ...] | None = None) -> np.ndarray:
+             effect_partition: EffectTierPartition) -> np.ndarray:
         """Chi-square dimension of each group: sum of L_t * F_h over its cells."""
-        l_sizes = covariate_tier_sizes or covariate_partition.sizes()
+        l_sizes = covariate_partition.sizes()
         f_sizes = effect_partition.sizes()
         return np.array([
             sum(l_sizes[t] * f_sizes[h] for (t, h) in cell) for cell in self.cells

@@ -151,9 +151,10 @@ def projection_coefficients(y_obs: np.ndarray, x: np.ndarray,
     complete randomization), each scaled so its zeta vector is a standard
     truncated Gaussian.  The criterion plan's law builder gets the
     standardized per-group cross moments of each tier of the plan's
-    covariates.  ``moments`` are the :func:`sample_moments` of those
-    covariates (``x`` itself unless the criterion tiers the covariates);
-    they are computed here when omitted.
+    covariates.  ``moments`` are the :func:`sample_moments` of ``x``,
+    computed here when omitted; when the criterion splits the covariates
+    into several tiers, the moments of the residualized tiers are computed
+    here instead.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -161,7 +162,7 @@ def projection_coefficients(y_obs: np.ndarray, x: np.ndarray,
     sizes.validate_for(structure)
     plan = criterion_plan(criterion, structure, sizes, x.shape[1])
     e = plan.covariates(x)
-    if moments is None:
+    if moments is None or len(plan.covariate_partition) > 1:
         moments = sample_moments(y_obs, e, assignment)
     cross, covariances = [], []
     for t, idx in enumerate(plan.covariate_partition.tiers):

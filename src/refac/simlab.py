@@ -537,7 +537,7 @@ def replicate(population: Population, structure: FactorialStructure,
 
     # theoretical spread of the baseline law, shared by every comparison
     base_law = law_from_truth(x, potential, structure, sizes,
-                              CompleteRandomization())
+                              CompleteRandomization(), truth=truth)
     base_phi = np.abs(simulate_law(base_law, stream(seed, 1, 0), theory_draws))
     base_theory_range = np.quantile(base_phi, RANGE_QUANTILE, axis=0)
 
@@ -549,7 +549,7 @@ def replicate(population: Population, structure: FactorialStructure,
         if d_index == 0:
             results.append(_summarize(name, taus, draws, covers, tau))
             continue
-        law = law_from_truth(x, potential, structure, sizes, criterion)
+        law = law_from_truth(x, potential, structure, sizes, criterion, truth=truth)
         theory_var = variance_reduction(law.profile(truth.total_cov),
                                         [c.dim for c in law.components],
                                         [c.cutoff for c in law.components])
@@ -657,10 +657,11 @@ def tradeoff_sweep(x: np.ndarray, potential: np.ndarray,
         raise ValidationError(
             f"overall acceptance probability must lie strictly inside (0, 1), "
             f"got {overall_probability}")
+    truth = population_truth(x, potential, structure, sizes)
     # the law's coefficients do not depend on the cutoffs, so any will do
     law = law_from_truth(x, potential, structure, sizes,
-                         EffectTierCriterion(partition, (1.0, 1.0)))
-    profile = law.profile(population_truth(x, potential, structure, sizes).total_cov)
+                         EffectTierCriterion(partition, (1.0, 1.0)), truth=truth)
+    profile = law.profile(truth.total_cov)
     dims = [c.dim for c in law.components]
 
     points = []

@@ -137,22 +137,26 @@ def criterion_profile(x: np.ndarray, potential: np.ndarray,
                       structure: FactorialStructure, sizes: GroupSizes,
                       criterion: BalanceCriterion) -> CorrelationProfile:
     """Correlation profile with one component per balance statistic."""
-    law = law_from_truth(x, potential, structure, sizes, criterion)
-    return law.profile(population_truth(x, potential, structure, sizes).total_cov)
+    truth = population_truth(x, potential, structure, sizes)
+    law = law_from_truth(x, potential, structure, sizes, criterion, truth=truth)
+    return law.profile(truth.total_cov)
 
 
 def law_from_truth(x: np.ndarray, potential: np.ndarray,
                    structure: FactorialStructure, sizes: GroupSizes,
-                   criterion: BalanceCriterion) -> AsymptoticLaw:
+                   criterion: BalanceCriterion,
+                   truth: PopulationTruth | None = None) -> AsymptoticLaw:
     """Exact asymptotic law of the centered effect estimator.
 
     The criterion plan's law builder gets the population cross-covariances
     of the outcomes with each tier of the plan's covariates.  Coefficients
     use the cross-covariance times inverse-square-root convention; the
-    simulated law does not depend on that choice.
+    simulated law does not depend on that choice.  ``truth`` is the
+    :func:`population_truth` of the same tables, computed when omitted.
     """
     x, potential = _check_tables(x, potential, structure, sizes)
-    truth = population_truth(x, potential, structure, sizes)
+    if truth is None:
+        truth = population_truth(x, potential, structure, sizes)
     plan = criterion_plan(criterion, structure, sizes, x.shape[1])
     e = plan.covariates(x)
     blocks = [e[:, list(idx)] for idx in plan.covariate_partition.tiers]

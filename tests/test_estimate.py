@@ -207,6 +207,26 @@ def test_projection_reuses_supplied_moments():
     np.testing.assert_array_equal(direct[0].coef, reused[0].coef)
 
 
+@pytest.mark.parametrize("tiers", [((0,), (1,)), ((1, 0),)])
+def test_grid_projection_takes_the_moments_of_x(tiers):
+    # supplied moments are those of x, also when the grid residualizes a
+    # later covariate tier on an earlier one
+    s, sizes, x, potential, rng = _population(66)
+    a = draw_assignment(sizes, rng)
+    y = _observe(potential, a)
+    cov = CovariateTierPartition(tiers)
+    grid = TierGrid.triangular(len(cov), 2)
+    crit = GridTierCriterion(
+        effect_partition=partition_by_order(s), covariate_partition=cov,
+        grid=grid, thresholds=(1.5, 20.0)[:len(grid)])
+    direct = projection_coefficients(y, x, a, s, sizes, crit)
+    reused = projection_coefficients(y, x, a, s, sizes, crit,
+                                     moments=sample_moments(y, x, a))
+    for d, r in zip(direct, reused):
+        np.testing.assert_allclose(r.coef @ r.coef.T, d.coef @ d.coef.T,
+                                   rtol=1e-12, atol=1e-14)
+
+
 def test_estimated_moments_recover_noiseless_truth():
     # With outcomes exactly linear in the covariates and a large sample, the
     # estimated explained covariance should approximate the exact population

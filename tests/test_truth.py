@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from refac.balance import (CompleteRandomization, EffectTierCriterion,
-                           GridTierCriterion, MahalanobisCriterion)
+                           GridTierCriterion, MahalanobisCriterion, stacked_cross)
 from refac.chisq import truncation_variance_factor
 from refac.design import (CovariateTierPartition, EffectTierPartition,
                           GroupSizes, TierGrid, build_structure,
+                          orthogonalize_covariates, orthogonalize_effects,
                           partition_by_order)
 from refac.errors import ValidationError
+from refac.linalg import KroneckerPSD, population_covariance
 from refac.rng import stream
 from refac.truth import (criterion_profile, law_from_truth, overall_profile,
                          pairwise_explained, population_truth)
@@ -29,10 +31,29 @@ def _heterogeneous_population(seed, n=96, k=2, l_count=3,
     return s, sizes, x, potential
 
 
-def _explained(x, potential, s, sizes, criterion):
-    """Per-component explained covariance blocks (F x F each), coef coef'."""
-    law = law_from_truth(x, potential, s, sizes, criterion)
-    return [c.coef @ c.coef.T for c in law.components]
+def _explained(x, potential, s, sizes, eff, cov=None, groups=None):
+    """Per-group explained covariance blocks (F x F each), straight from the
+    definition: each cell (t, h) adds C (B_h x S_t)^{-1} C', with C the
+    stacked cross covariance of effect tier h with covariate tier t.  One
+    covariate tier of all columns and one group per effect tier by default.
+    """
+    cov = cov or CovariateTierPartition((tuple(range(x.shape[1])),))
+    groups = groups or [((0, h),) for h in range(len(eff))]
+    tiered = orthogonalize_effects(s, sizes, eff)
+    e = orthogonalize_covariates(x, cov)
+    out = []
+    for group in groups:
+        total = np.zeros((s.f_count, s.f_count))
+        for t, h in group:
+            block = e[:, list(cov.tiers[t])]
+            cross = stacked_cross(s, sizes.counts,
+                                  tiered.coeffs[tiered.block_slices[h]],
+                                  population_covariance(potential, block))
+            cross = cross.reshape(s.f_count, -1)
+            kron = KroneckerPSD(tiered.gram_blocks[h], population_covariance(block))
+            total += cross @ kron.inv_dense() @ cross.T
+        out.append(total)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +133,7 @@ def test_effect_tier_blocks_sum_to_the_explained_covariance():
     for tiers in [((0, 1, 2), (3, 4, 5, 6)),
                   ((5,), (0, 1, 2, 3), (4, 6)),
                   (tuple(range(7)),)]:
-        blocks = _explained(x, potential, s, sizes, EffectTierCriterion(
-            EffectTierPartition(tiers), (1.0,) * len(tiers)))
+        blocks = _explained(x, potential, s, sizes, EffectTierPartition(tiers))
         assert len(blocks) == len(tiers)
         np.testing.assert_allclose(sum(blocks), truth.explained_cov,
                                    atol=1e-10)
@@ -124,8 +144,8 @@ def test_grid_blocks_sum_to_the_explained_covariance():
     truth = population_truth(x, potential, s, sizes)
     eff = partition_by_order(s)
     cov = CovariateTierPartition(((0, 2), (1,)))
-    blocks = _explained(x, potential, s, sizes, GridTierCriterion(
-        eff, cov, TierGrid.triangular(2, 2), (1.0, 1.0)))
+    blocks = _explained(x, potential, s, sizes, eff, cov,
+                        TierGrid.triangular(2, 2).cells)
     assert len(blocks) == 2
     np.testing.assert_allclose(sum(blocks), truth.explained_cov, atol=1e-10)
 
@@ -197,8 +217,7 @@ def test_tiered_law_covariance_uses_per_tier_factors():
     thresholds = (2.5, 9.0)
     law = law_from_truth(x, potential, s, sizes, EffectTierCriterion(
         partition=part, thresholds=thresholds))
-    blocks = _explained(x, potential, s, sizes, EffectTierCriterion(
-        partition=part, thresholds=(1.0, 1.0)))
+    blocks = _explained(x, potential, s, sizes, part)
     expected = truth.residual_cov.copy()
     for comp, block, a in zip(law.components, blocks, thresholds):
         v = truncation_variance_factor(comp.dim, a)
@@ -217,9 +236,7 @@ def test_grid_law_covariance_uses_per_group_factors():
     crit = GridTierCriterion(effect_partition=eff, covariate_partition=cov,
                              grid=grid, thresholds=thresholds)
     law = law_from_truth(x, potential, s, sizes, crit)
-    blocks = _explained(x, potential, s, sizes, GridTierCriterion(
-        effect_partition=eff, covariate_partition=cov, grid=grid,
-        thresholds=(1.0, 1.0)))
+    blocks = _explained(x, potential, s, sizes, eff, cov, grid.cells)
     truth = population_truth(x, potential, s, sizes)
     expected = truth.residual_cov.copy()
     for comp, block, a in zip(law.components, blocks, thresholds):
