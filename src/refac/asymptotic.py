@@ -40,7 +40,7 @@ from scipy import special
 
 from .chisq import truncation_variance_factor  # noqa: F401  (re-exported)
 from .errors import ValidationError
-from .linalg import psd_sqrt, sym_inv_sqrt, sym_inverse
+from .linalg import guarded_eigh, psd_sqrt, sym_inv_sqrt
 
 #: below this acceptance rate of both rejection proposals the squared radius
 #: is drawn by the inverse CDF, which costs about as much as 20 proposals
@@ -48,6 +48,9 @@ MIN_REJECTION_RATE = 0.05
 
 #: most proposals a rejection sampler draws at once, which bounds its memory
 PROPOSAL_CHUNK = 1 << 16
+
+#: law draws whose truncated part is added at once, which bounds the temporary
+LAW_ROW_CHUNK = 1 << 13
 
 
 def _untruncated(cutoff: float | None) -> bool:
@@ -205,16 +208,20 @@ class AsymptoticLaw:
         return correlation_profile(total_cov, [c.coef @ c.coef.T for c in self.components])
 
 
-def simulate_law(law: AsymptoticLaw, rng: np.random.Generator,
-                 draws: int) -> np.ndarray:
-    """(draws, dim) Monte Carlo sample of the law.
+def simulate_law(law: AsymptoticLaw, rng: np.random.Generator, draws: int,
+                 transform: np.ndarray | None = None) -> np.ndarray:
+    """(draws, dim) Monte Carlo sample of the law, or (draws, F') of
+    ``transform`` (F' x dim) times it.
 
     Untruncated components fold into the Gaussian base, which is drawn
     first as (draws, dim) normals.  Each truncated component follows in
     declaration order, as the rank(coef) leading coordinates of its
     truncated vector (:func:`truncated_gaussian_sample` with ``coords``).
     A fixed generator state therefore reproduces the sample exactly, and
-    no (draws, d) array is formed for a d-dimensional component.
+    no (draws, d) array is formed for a d-dimensional component.  The
+    transform multiplies the base root and each rank factor before the
+    draws, so it consumes the same normals.  Each truncated part is added
+    :data:`LAW_ROW_CHUNK` rows at a time.
     """
     if draws < 1:
         raise ValidationError(f"draws must be >= 1, got {draws}")
@@ -226,11 +233,16 @@ def simulate_law(law: AsymptoticLaw, rng: np.random.Generator,
         else:
             truncated.append((comp, _rank_factor(comp.coef)))
     root = psd_sqrt(base, name="law base covariance")
+    if transform is not None:
+        root = transform @ root
+        truncated = [(comp, transform @ factor) for comp, factor in truncated]
     out = rng.standard_normal((draws, law.dim)) @ root.T
     for comp, factor in truncated:
         zeta = truncated_gaussian_sample(comp.dim, comp.cutoff, rng, draws,
                                          coords=factor.shape[1])
-        out += zeta @ factor.T
+        for start in range(0, draws, LAW_ROW_CHUNK):
+            rows = slice(start, start + LAW_ROW_CHUNK)
+            out[rows] += zeta[rows] @ factor.T
     return out
 
 
@@ -338,14 +350,17 @@ def quadratic_form_samples(law: AsymptoticLaw, contrast: np.ndarray | None,
     """Monte Carlo sample of (C phi)' shape^{-1} (C phi) under the law.
 
     ``contrast=None`` stands for the identity, which is never multiplied.
+    The law is drawn through the whitening transform W^{-1/2} U' C, with
+    shape = U W U', so each sample is a squared row norm.
     """
     if contrast is not None:
         contrast = validate_contrast(contrast, law.dim)
-    kernel = sym_inverse(np.asarray(shape, dtype=float), name="confidence shape")
-    phi = simulate_law(law, rng, draws)
+    w, u = guarded_eigh(shape, name="confidence shape")
+    whiten = u.T / np.sqrt(w)[:, None]
     if contrast is not None:
-        phi = phi @ contrast.T
-    return ((phi @ kernel) * phi).sum(axis=1)
+        whiten = whiten @ contrast
+    z = simulate_law(law, rng, draws, transform=whiten)
+    return np.einsum("ij,ij->i", z, z)
 
 
 def quantile_thresholds(law: AsymptoticLaw, contrast: np.ndarray | None,

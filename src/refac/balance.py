@@ -326,9 +326,9 @@ def stacked_cross(structure: FactorialStructure, group_sizes, left_rows: np.ndar
     where ``cross_rows`` (Q x L) holds per-group outcome-covariate cross
     moments."""
     weights = 1.0 / np.asarray(group_sizes, dtype=float)
-    blocks = np.einsum("fq,gq,ql->fgl", structure.contrasts * weights, left_rows,
-                       cross_rows, optimize=True)
-    return 4.0 ** (1 - structure.k) * blocks
+    rows = (left_rows.T[:, :, None] * cross_rows[:, None, :]).reshape(weights.size, -1)
+    blocks = (structure.contrasts * weights) @ rows
+    return 4.0 ** (1 - structure.k) * blocks.reshape(blocks.shape[0], left_rows.shape[0], -1)
 
 
 def covariate_diff_in_means(x: np.ndarray, codes: np.ndarray,

@@ -81,8 +81,7 @@ def _write_csv(path: str | None, header, rows) -> None:
 
 def _write_json(path: str | None, payload: dict) -> None:
     with _open_out(path) as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload) + "\n")
 
 
 def _load_json(path: str):

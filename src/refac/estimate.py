@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotic import LawComponent
-from .balance import BalanceCriterion, criterion_plan, group_means
+from .balance import BalanceCriterion, _group_sums, criterion_plan, group_means
 from .design import FactorialStructure, GroupSizes, coefficient_gram
 from .errors import ValidationError
-from .linalg import population_covariance, sym_inv_sqrt, sym_inverse, sym_sqrt
+from .linalg import guarded_eigh, population_covariance, sym_sqrt
 from .rerandomize import Assignment
 
 
@@ -76,36 +76,30 @@ def sample_moments(y_obs: np.ndarray, x: np.ndarray,
         x = x[:, None]
     if y.shape[0] != x.shape[0] or y.shape[0] != assignment.n:
         raise ValidationError("outcomes, covariates and assignment must align")
-    q_count = assignment.q_count
-    l_count = x.shape[1]
-    sizes, means = [], np.empty(q_count)
-    variances = np.empty(q_count)
-    cross = np.empty((q_count, l_count))
-    covs = np.empty((q_count, l_count, l_count))
-    residual = np.empty(q_count)
-    for q in range(q_count):
-        mask = assignment.codes == q
-        count = int(mask.sum())
-        if count < l_count + 2:
-            raise ValidationError(
-                f"group {q + 1} has {count} units but needs at least "
-                f"{l_count + 2} for within-group moments")
-        sizes.append(count)
-        yq, xq = y[mask], x[mask]
-        means[q] = yq.mean()
-        variances[q] = population_covariance(yq)[0, 0]
-        cross[q] = population_covariance(yq, xq)[0]
-        covs[q] = population_covariance(xq)
-        fit = cross[q] @ sym_inverse(
-            covs[q], name=f"group {q + 1} covariate covariance") @ cross[q]
-        residual[q] = variances[q] - fit
-        floor = -1e-10 * max(1.0, variances[q])
-        if residual[q] < floor:
-            raise ValidationError(
-                f"group {q + 1} residual variance is {residual[q]:.3e}; "
-                "within-group covariate covariance is numerically inconsistent")
-        residual[q] = max(residual[q], 0.0)
-    return SampleMoments(group_sizes=tuple(sizes), means=means,
+    q_count, l_count = assignment.q_count, x.shape[1]
+    codes = assignment.codes[None, :]
+    counts = assignment.counts()
+    short = np.flatnonzero(counts < l_count + 2)
+    if short.size:
+        raise ValidationError(
+            f"group {short[0] + 1} has {counts[short[0]]} units but needs at least "
+            f"{l_count + 2} for within-group moments")
+    z = np.column_stack([y, x])
+    means = _group_sums(z, codes, q_count)[0] / counts[:, None]
+    z -= means[assignment.codes]
+    cov = np.stack([_group_sums(z * column[:, None], codes, q_count)[0]
+                    for column in z.T], axis=1) / (counts - 1.0)[:, None, None]
+    variances, cross, covs = cov[:, 0, 0], cov[:, 0, 1:], cov[:, 1:, 1:]
+    w, u = guarded_eigh(covs, name="group {} covariate covariance")
+    residual = variances - (np.einsum("ql,qlm->qm", cross, u) ** 2 / w).sum(axis=1)
+    floor = -1e-10 * np.maximum(1.0, variances)
+    bad = np.flatnonzero(residual < floor)
+    if bad.size:
+        raise ValidationError(
+            f"group {bad[0] + 1} residual variance is {residual[bad[0]]:.3e}; "
+            "within-group covariate covariance is numerically inconsistent")
+    residual = np.maximum(residual, 0.0)
+    return SampleMoments(group_sizes=tuple(counts.tolist()), means=means[:, 0],
                          variances=variances, cross_cov=cross,
                          covariate_cov=covs, residual_variances=residual)
 
@@ -133,11 +127,9 @@ def _standardized_cross(cross: np.ndarray, within: np.ndarray,
     """Rows u_q = s_{q,x} s_xx(q)^{-1/2} S_xx^{1/2}: per-group cross moments
     standardized by the group and re-scaled to the population metric."""
     target_root = sym_sqrt(target_cov, name=f"{label} covariance")
-    out = np.empty_like(cross)
-    for q in range(cross.shape[0]):
-        inv_root = sym_inv_sqrt(within[q], name=f"group {q + 1} {label} covariance")
-        out[q] = cross[q] @ inv_root @ target_root
-    return out
+    w, u = guarded_eigh(within, name=f"group {{}} {label} covariance")
+    standardized = np.einsum("ql,qlm->qm", cross, u) / np.sqrt(w)
+    return np.einsum("qm,qlm->ql", standardized, u) @ target_root
 
 
 def projection_coefficients(y_obs: np.ndarray, x: np.ndarray,

@@ -36,18 +36,24 @@ def population_covariance(a: np.ndarray, b: np.ndarray | None = None) -> np.ndar
 
 def guarded_eigh(mat: np.ndarray, *, cond_limit: float = COND_LIMIT,
                  name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric positive-definite matrix.
+    """Eigendecomposition of a symmetric positive-definite matrix, or of
+    each matrix of a (..., L, L) stack.
 
-    Fails loudly when the matrix is not PD or its relative condition
-    number exceeds ``cond_limit``, rather than regularizing.
+    Fails loudly when a matrix is not PD or its relative condition number
+    exceeds ``cond_limit``, rather than regularizing.  For a stack, ``name``
+    is formatted with the 1-based flat position of the first failing matrix.
     """
     mat = np.asarray(mat, dtype=float)
     eigvals, eigvecs = np.linalg.eigh(mat)
-    smallest, largest = float(eigvals[0]), float(eigvals[-1])
-    if largest <= 0.0 or smallest <= 0.0 or largest > cond_limit * smallest:
+    smallest, largest = eigvals[..., 0], eigvals[..., -1]
+    bad = np.flatnonzero((largest <= 0.0) | (smallest <= 0.0)
+                         | (largest > cond_limit * smallest))
+    if bad.size:
+        first = int(bad[0])
+        label = name if mat.ndim == 2 else name.format(first + 1)
         raise SingularMatrixError(
-            f"{name} is singular or too ill-conditioned to invert "
-            f"(eigenvalue range [{smallest:.3e}, {largest:.3e}])")
+            f"{label} is singular or too ill-conditioned to invert (eigenvalue "
+            f"range [{smallest.flat[first]:.3e}, {largest.flat[first]:.3e}])")
     return eigvals, eigvecs
 
 

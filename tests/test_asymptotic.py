@@ -1,5 +1,6 @@
 """Truncated-Gaussian sampling, asymptotic laws, and quantile thresholds."""
 
+import importlib
 import math
 import tracemalloc
 
@@ -289,6 +290,43 @@ def test_gaussian_quadratic_form_is_chi_square():
                                     np.eye(1), stream(73, 1), 100_000)
     assert np.quantile(single, 0.95) == pytest.approx(
         chi2_quantile(0.95, 1), abs=0.08)
+
+
+def _mixed_law(rng) -> AsymptoticLaw:
+    """F = 4: two truncated components (one of full rank 4 < d) and an
+    untruncated one."""
+    coef = [rng.standard_normal((4, d)) for d in (3, 6, 2)]
+    return AsymptoticLaw(base_cov=0.3 * np.eye(4) + 0.1, components=(
+        LawComponent(coef[0], 3, chi2_quantile(0.2, 3)),
+        LawComponent(coef[1], 6, chi2_quantile(0.05, 6)),
+        LawComponent(coef[2], 2, None)))
+
+
+def test_law_rows_added_in_chunks_match_one_product(monkeypatch):
+    law = _mixed_law(stream(73, 12))
+    whole = simulate_law(law, stream(73, 13), 500)
+    monkeypatch.setattr(importlib.import_module("refac.asymptotic"), "LAW_ROW_CHUNK", 7)
+    np.testing.assert_allclose(simulate_law(law, stream(73, 13), 500), whole,
+                               rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("contrast", [None, np.array([[1.0, -1.0, 0.0, 0.5],
+                                                     [0.0, 2.0, 1.0, 0.0]])])
+def test_whitened_quadratic_form_matches_the_kernel_form(contrast):
+    rng = stream(73, 10)
+    law = _mixed_law(rng)
+    rows = 4 if contrast is None else contrast.shape[0]
+    a = rng.standard_normal((rows, rows))
+    shape = a @ a.T + 0.5 * np.eye(rows)
+    samples = quadratic_form_samples(law, contrast, shape, stream(73, 11), 3000)
+    phi = simulate_law(law, stream(73, 11), 3000)
+    if contrast is not None:
+        phi = phi @ contrast.T
+        np.testing.assert_allclose(
+            simulate_law(law, stream(73, 11), 3000, transform=contrast), phi,
+            rtol=1e-12, atol=1e-12)
+    expected = ((phi @ np.linalg.inv(shape)) * phi).sum(axis=1)
+    np.testing.assert_allclose(samples, expected, rtol=1e-10)
 
 
 def test_quantile_thresholds_are_nested_and_scale_with_shape():

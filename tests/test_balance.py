@@ -11,7 +11,7 @@ from refac.balance import (BalanceReport, CompleteRandomization,
                            criterion_cutoffs, criterion_dimensions,
                            criterion_plan, group_means, imbalance_covariance,
                            mahalanobis_effect_tiers, mahalanobis_overall,
-                           orthogonalized_diff_in_means,
+                           orthogonalized_diff_in_means, stacked_cross,
                            thresholds_from_probability)
 from refac.design import (CovariateTierPartition, EffectTierPartition,
                           GroupSizes, TierGrid, build_structure,
@@ -181,6 +181,20 @@ def test_imbalance_covariance_dense_form():
     np.testing.assert_allclose(kron.dense(),
                                np.kron(coefficient_gram(s, sizes), cov),
                                atol=1e-12)
+
+
+
+@pytest.mark.parametrize("k, rows, l_count", [(2, 3, 1), (3, 4, 3)])
+def test_stacked_cross_matches_its_einsum_definition(k, rows, l_count):
+    rng = stream(31, 40, k)
+    s = build_structure(k)
+    counts = rng.integers(3, 20, s.q_count)
+    left_rows = rng.standard_normal((rows, s.q_count))
+    cross_rows = rng.standard_normal((s.q_count, l_count))
+    expected = 4.0 ** (1 - k) * np.einsum("fq,q,gq,ql->fgl", s.contrasts, 1.0 / counts,
+                                          left_rows, cross_rows)
+    np.testing.assert_allclose(stacked_cross(s, counts, left_rows, cross_rows),
+                               expected, rtol=1e-12, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

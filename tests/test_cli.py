@@ -461,6 +461,50 @@ def test_simulate_validation(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# JSON reports
+
+
+def _plain(value):
+    """``value`` with tuples as lists, the shape JSON gives back, and NaN
+    (coverage off) as a string, so that equal reports compare equal."""
+    if isinstance(value, float) and value != value:
+        return "NaN"
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def test_reports_are_one_line_of_json_that_round_trips(tmp_path, monkeypatch):
+    cli = importlib.import_module("refac.cli")
+    written, original = {}, cli._write_json
+
+    def recorded(path, payload):
+        written[path] = payload
+        original(path, payload)
+
+    monkeypatch.setattr(cli, "_write_json", recorded)
+    cov, _ = _covariate_csv(tmp_path / "cov.csv")
+    data, acfg, _, _ = _analysis_files(tmp_path)
+    pop, designs = _simulation_configs(tmp_path)
+    reports = [str(tmp_path / f"{name}.json") for name in ("design", "analyze", "simulate")]
+    assert main(["design", "--config", _design_config(tmp_path / "cfg.json"),
+                 "--covariates", cov, "--out", str(tmp_path / "a.csv"),
+                 "--report", reports[0]]) == 0
+    assert main(["analyze", "--config", acfg, "--data", data, "--seed", "11",
+                 "--draws", "2000", "--out", reports[1]]) == 0
+    assert main(["simulate", "--population", pop, "--designs", designs,
+                 "--reps", "5", "--out-json", reports[2]]) == 0
+    for path in reports:
+        text = open(path, encoding="utf-8").read()
+        assert text.endswith("}\n") and text.count("\n") == 1
+        loaded = json.loads(text)
+        assert loaded["schema_version"] == 1
+        assert _plain(loaded) == _plain(written[path])  # floats compare exactly
+
+
+# ---------------------------------------------------------------------------
 # thresholds
 
 

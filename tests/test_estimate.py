@@ -1,5 +1,7 @@
 """Point estimates, within-group moments, and estimated law components."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from refac.balance import (CompleteRandomization, EffectTierCriterion,
                            GridTierCriterion, MahalanobisCriterion)
 from refac.design import (CovariateTierPartition, GroupSizes, TierGrid,
                           build_structure, partition_by_order)
-from refac.errors import ValidationError
+from refac.errors import SingularMatrixError, ValidationError
 from refac.estimate import (effect_estimates, neyman_covariance,
                             projection_coefficients,
                             residual_covariance_estimate, sample_moments)
@@ -100,6 +102,69 @@ def test_sample_moments_validation():
         sample_moments(np.zeros(6), x, a)
     with pytest.raises(ValidationError, match="align"):
         sample_moments(np.zeros(5), x[:5], a)
+
+
+@pytest.mark.parametrize("l_count", [1, 3])
+def test_batched_sample_moments_match_per_group_cov(l_count):
+    rng = stream(61, 20, l_count)
+    sizes = GroupSizes(tuple(int(v) for v in rng.integers(l_count + 2, 14, 128)))
+    a = draw_assignment(sizes, rng)
+    x = 3.0 + rng.standard_normal((sizes.n, l_count))
+    y = x @ rng.standard_normal(l_count) + rng.standard_normal(sizes.n)
+    m = sample_moments(y, x, a)
+    assert m.group_sizes == sizes.counts
+    for q in range(128):
+        z = np.column_stack([y, x])[a.codes == q]
+        full = np.cov(z, rowvar=False, ddof=1)
+        fit = full[0, 1:] @ np.linalg.solve(full[1:, 1:], full[0, 1:])
+        np.testing.assert_allclose(m.means[q], z[:, 0].mean(), rtol=1e-12)
+        np.testing.assert_allclose(m.variances[q], full[0, 0], rtol=1e-12)
+        np.testing.assert_allclose(m.cross_cov[q], full[0, 1:], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(m.covariate_cov[q], full[1:, 1:],
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(m.residual_variances[q], full[0, 0] - fit,
+                                   rtol=1e-12, atol=1e-12)
+
+
+def _six_groups(rng, short=()):
+    """Codes for six groups of 6 units (2 in each group of ``short``)."""
+    counts = [2 if q in short else 6 for q in range(6)]
+    codes = np.repeat(np.arange(6), counts)
+    return Assignment(codes=codes, q_count=6), rng.standard_normal((codes.size, 2))
+
+
+def test_sample_moments_names_the_first_short_group():
+    a, x = _six_groups(stream(61, 21), short=(2, 4))
+    with pytest.raises(ValidationError, match="^group 3 has 2 units but needs at least 4"):
+        sample_moments(np.zeros(a.n), x, a)
+
+
+def test_sample_moments_names_the_first_singular_group():
+    a, x = _six_groups(stream(61, 22))
+    for q in (1, 3):  # collinear covariates in groups 2 and 4
+        mask = a.codes == q
+        x[mask, 1] = 2.0 * x[mask, 0]
+    with pytest.raises(SingularMatrixError, match="^group 2 covariate covariance is singular"):
+        sample_moments(x[:, 0], x, a)
+
+
+def test_sample_moments_names_the_first_inconsistent_group(monkeypatch):
+    """Shrunken eigenvalues inflate the covariate fit past the outcome
+    variance in groups 3 and 5, which round-off alone does only erratically."""
+    estimate = importlib.import_module("refac.estimate")
+    original = estimate.guarded_eigh
+
+    def shrunk(mat, **kwargs):
+        w, u = original(mat, **kwargs)
+        w = w.copy()
+        w[[2, 4]] *= 1e-3
+        return w, u
+
+    monkeypatch.setattr(estimate, "guarded_eigh", shrunk)
+    a, x = _six_groups(stream(61, 23))
+    y = x @ np.array([1.0, -1.0]) + 0.1 * stream(61, 24).standard_normal(a.n)
+    with pytest.raises(ValidationError, match="^group 3 residual variance is -"):
+        sample_moments(y, x, a)
 
 
 # ---------------------------------------------------------------------------
