@@ -20,10 +20,11 @@ component to the asymptotic law.
 
 :func:`criterion_plan` compiles a criterion into this grid once; the
 batched engine, the two asymptotic-law builders (:mod:`refac.truth` and
-:mod:`refac.estimate`) and the theory profiles read the plan.  All
-statistics are quadratic forms whose kernels factor as Kronecker products,
-which is how they are computed: no stacked-dimension inverse is ever
-formed.
+:mod:`refac.estimate`) and the theory profiles read the plan.  The plan
+also owns the metric: it whitens each covariate tier by its covariance and
+each effect tier's rows by its Gram block, so a cell statistic is a squared
+norm and a law component a cross covariance; no stacked-dimension matrix is
+ever formed.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .design import (CovariateTierPartition, EffectTierPartition, FactorialStruc
                      GroupSizes, TieredCoefficients, TierGrid, coefficient_gram,
                      orthogonalize_covariates, orthogonalize_effects)
 from .errors import ValidationError
-from .linalg import KroneckerPSD, population_covariance, sym_inv_sqrt, sym_inverse
+from .linalg import KroneckerPSD, population_covariance, sym_inv_sqrt
 
 
 @dataclass(frozen=True)
@@ -165,26 +166,38 @@ class CriterionPlan:
         """``x`` with each covariate tier residualized on the earlier ones."""
         return orthogonalize_covariates(_as_columns(x), self.covariate_partition)
 
-    def law_components(self, group_sizes, cross_rows, covariances) -> list[LawComponent]:
+    def whiten(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`covariates` with its columns in tier order, each tier
+        multiplied by the inverse square root of its own covariance."""
+        e = self.covariates(x)
+        blocks = [e[:, list(idx)] for idx in self.covariate_partition.tiers]
+        return np.hstack([
+            block @ sym_inv_sqrt(population_covariance(block),
+                                 name=f"{self.covariate_label(t)} covariance")
+            for t, block in enumerate(blocks)])
+
+    @cached_property
+    def whitened_rows(self) -> np.ndarray:
+        """``tiered.coeffs`` with each effect tier's rows multiplied by the
+        inverse square root of its Gram block."""
+        tiered = self.tiered
+        return np.vstack([
+            sym_inv_sqrt(block, name=f"tier {h + 1} Gram block") @ tiered.coeffs[rows]
+            for h, (block, rows) in enumerate(zip(tiered.gram_blocks, tiered.block_slices))])
+
+    def law_components(self, group_sizes, cross_rows) -> list[LawComponent]:
         """One asymptotic-law component per group of cells.
 
-        ``cross_rows[t]`` (Q x L_t) holds the per-group cross moments of the
-        outcome with covariate tier t of :meth:`covariates`, and
-        ``covariances[t]`` that tier's covariance.  Cell (t, h) contributes
-        the stacked cross covariance of effect tier h's coefficients, times
-        the inverse square roots of tier h's Gram block and of
-        ``covariances[t]``, applied factor by factor.
+        ``cross_rows`` (Q x L) holds the per-group cross moments of the
+        outcome with the covariates in the whitened metric, columns in the
+        tier order of :meth:`whiten`.  Cell (t, h) contributes the stacked
+        cross covariance of effect tier h's :attr:`whitened_rows` with the
+        columns of covariate tier t.
         """
-        tiered = self.tiered
-        left = [sym_inv_sqrt(b, name=f"tier {h + 1} Gram block")
-                for h, b in enumerate(tiered.gram_blocks)]
-        right = [sym_inv_sqrt(c, name=f"{self.covariate_label(t)} covariance")
-                 for t, c in enumerate(covariances)]
-        pieces = []
-        for t, h in self.cells:
-            stacked = stacked_cross(self.structure, group_sizes,
-                                    tiered.coeffs[tiered.block_slices[h]], cross_rows[t])
-            pieces.append((left[h] @ stacked @ right[t]).reshape(stacked.shape[0], -1))
+        cross = stacked_cross(self.structure, group_sizes, self.whitened_rows, cross_rows)
+        rows, cols = self.effect_partition.slices(), self.covariate_partition.slices()
+        pieces = [cross[:, rows[h], cols[t]].reshape(cross.shape[0], -1)
+                  for t, h in self.cells]
         components = []
         for group, cutoff in zip(self.groups, self.cutoffs):
             coef = np.hstack([pieces[i] for i in group])
@@ -413,9 +426,9 @@ class CriterionEngine:
     """Precomputed machinery to evaluate one criterion on assignment batches.
 
     Construction does all covariance and orthogonalization work once, from
-    the criterion's plan; the per-batch cost is one group-sum pass and a few
-    small matmuls per grid cell.  Used by the rerandomization loop and the
-    simulation lab.
+    the criterion's plan; the per-batch cost is one group-sum pass and one
+    matmul in the whitened metric, then a sum of squares per grid cell.
+    Used by the rerandomization loop and the simulation lab.
     """
 
     def __init__(self, x: np.ndarray, structure: FactorialStructure,
@@ -434,24 +447,12 @@ class CriterionEngine:
         self._dims = plan.limit_dims
         self._cutoffs = plan.limits
         if not self._cutoffs.size:  # complete randomization thresholds nothing
-            self._x, self._proj = x, None
+            self._proj = None
             return
-
-        tiered = plan.tiered
-        self._x = e = plan.covariates(x)
-        self._proj = structure.scale * tiered.coeffs
-        tiers = plan.covariate_partition.tiers
-        gram_inv = [sym_inverse(b, name=f"tier {h + 1} Gram block")
-                    for h, b in enumerate(tiered.gram_blocks)]
-        cov_inv = [sym_inverse(population_covariance(e[:, list(idx)]),
-                               name=f"{plan.covariate_label(t)} covariance")
-                   for t, idx in enumerate(tiers)]
-        every = tuple(range(x.shape[1]))
-        self._left_inv = tuple(gram_inv[h] for _, h in plan.cells)
-        self._right_inv = tuple(cov_inv[t] for t, _ in plan.cells)
-        self._row_slices = tuple(tiered.block_slices[h] for _, h in plan.cells)
-        self._col_indices = tuple(None if tiers[t] == every else list(tiers[t])
-                                  for t, _ in plan.cells)
+        self._z = plan.whiten(x)
+        self._proj = structure.scale * plan.whitened_rows
+        self._row_starts = [rows.start for rows in plan.effect_partition.slices()]
+        self._col_starts = [cols.start for cols in plan.covariate_partition.slices()]
 
     @property
     def acceptance_probability(self) -> float:
@@ -461,21 +462,13 @@ class CriterionEngine:
         return p
 
     def _cell_stats(self, codes: np.ndarray) -> np.ndarray:
-        """(B, n_cells) raw quadratic forms, one per (rows, cols) cell."""
+        """(B, n_cells) sums of squared whitened projections over each cell."""
         if self._proj is None:
             return np.empty((codes.shape[0], 0))
-        xbar = batch_group_means(self._x, codes, self.sizes)
-        # matmuls, not optimize=True einsums: those plan their contraction
-        # path on every call, which costs more than small batches' arithmetic
-        proj = self._proj @ xbar
-        out = np.empty((codes.shape[0], len(self._row_slices)))
-        for i, (li, ri, rows, cols) in enumerate(zip(
-                self._left_inv, self._right_inv, self._row_slices, self._col_indices)):
-            block = proj[:, rows, :]
-            if cols is not None:
-                block = block[:, :, cols]
-            out[:, i] = np.einsum("bfl,bfl->b", li @ block @ ri, block)
-        return out
+        proj = self._proj @ batch_group_means(self._z, codes, self.sizes)
+        by_rows = np.add.reduceat(proj * proj, self._row_starts, axis=1)
+        cells = np.add.reduceat(by_rows, self._col_starts, axis=2)
+        return cells.transpose(0, 2, 1).reshape(codes.shape[0], -1)
 
     def _sum_groups(self, raw: np.ndarray) -> np.ndarray:
         """(B, n_statistics) sums of the cell statistics over each group."""

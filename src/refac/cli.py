@@ -31,7 +31,7 @@ from .balance import (BalanceCriterion, CompleteRandomization, CriterionEngine,
                       EffectTierCriterion, GridTierCriterion,
                       MahalanobisCriterion, thresholds_from_probability)
 from .chisq import chi2_cdf, truncation_variance_factor
-from .confidence import DEFAULT_LAW_DRAWS, confidence_set, estimated_law
+from .confidence import DEFAULT_LAW_DRAWS, confidence_set
 from .design import (CovariateTierPartition, EffectTierPartition,
                      FactorialStructure, GroupSizes, TierGrid, build_structure)
 from .errors import SingularMatrixError, ValidationError
@@ -43,7 +43,7 @@ from .simlab import (CovariateColumn, OutcomeRecipe, PopulationSpec,
                      education_like, generate_population, replicate,
                      report_rows, report_to_dict)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -79,9 +79,19 @@ def _write_csv(path: str | None, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+def _finite_or_null(value):
+    """``value`` with every NaN or infinite float (an undefined figure) as None."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_json(path: str | None, payload: dict) -> None:
+    """One line of strict JSON (RFC 8259), with NaN written as null."""
     with _open_out(path) as fh:
-        fh.write(json.dumps(payload) + "\n")
+        fh.write(json.dumps(_finite_or_null(payload), allow_nan=False) + "\n")
 
 
 def _load_json(path: str):
@@ -138,11 +148,13 @@ def read_data_file(path: str) -> DataFile:
 
     def parse_float(text: str, line_no: int, name: str) -> float:
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
-            raise ValidationError(
-                f"{path}: row {line_no}, column {name!r}: not a number: "
-                f"{text!r}") from None
+            value = math.nan
+        if math.isfinite(value):
+            return value
+        raise ValidationError(f"{path}: row {line_no}, column {name!r}: not a "
+                              f"number: {text!r} (values must be finite)")
 
     units, x_rows = [], []
     outcome = [] if "outcome" in header else None
@@ -481,11 +493,9 @@ def cmd_analyze(args) -> None:
         contrast_resolved = "identity"
 
     tau_hat = effect_estimates(data.outcome, assignment, structure)
-    law = estimated_law(data.outcome, data.x, assignment, structure, sizes,
-                        criterion)
     cs = confidence_set(data.outcome, data.x, assignment, structure, sizes,
                         criterion, contrast=contrast, alpha=alpha,
-                        rng=stream(seed), draws=draws, law=law)
+                        rng=stream(seed), draws=draws)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "analyze",
@@ -504,7 +514,7 @@ def cmd_analyze(args) -> None:
             "names": list(structure.effect_names()),
             "estimates": tau_hat.tolist(),
         },
-        "covariance_estimate": law.covariance().tolist(),
+        "covariance_estimate": cs.law.covariance().tolist(),
         "confidence_set": {
             "alpha": cs.alpha,
             "draws": cs.draws,

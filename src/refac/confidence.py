@@ -32,13 +32,15 @@ DEFAULT_LAW_DRAWS = 100_000
 
 @dataclass(frozen=True)
 class ConfidenceSet:
-    """Ellipsoidal confidence set ``center + {u : u' shape^{-1} u <= threshold}``."""
+    """Ellipsoidal confidence set ``center + {u : u' shape^{-1} u <= threshold}``
+    and the estimated ``law`` whose quantile set the threshold."""
 
     center: np.ndarray
     shape: np.ndarray
     threshold: float
     alpha: float
     draws: int
+    law: AsymptoticLaw
 
     def contains(self, point) -> bool:
         point = np.asarray(point, dtype=float)
@@ -87,24 +89,22 @@ def confidence_set(y_obs: np.ndarray, x: np.ndarray, assignment: Assignment,
                    criterion: BalanceCriterion, *,
                    contrast: np.ndarray | None = None, alpha: float = 0.05,
                    rng: np.random.Generator,
-                   draws: int = DEFAULT_LAW_DRAWS,
-                   law: AsymptoticLaw | None = None) -> ConfidenceSet:
+                   draws: int = DEFAULT_LAW_DRAWS) -> ConfidenceSet:
     """Simulated-threshold confidence set for C tau.
 
     Deterministic given the generator state; pass a dedicated stream when
-    reproducibility matters.  ``law`` is the :func:`estimated_law` of the
-    same data, built here when omitted.
+    reproducibility matters.  The set carries the :func:`estimated_law` it
+    was calibrated on.
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie strictly inside (0, 1), got {alpha}")
     if contrast is not None:
         contrast = validate_contrast(contrast, structure.f_count)
-    if law is None:
-        law = estimated_law(y_obs, x, assignment, structure, sizes, criterion)
+    law = estimated_law(y_obs, x, assignment, structure, sizes, criterion)
     center = effect_estimates(y_obs, assignment, structure)
     shape = law.base_cov.copy()
     if contrast is not None:  # None is the identity, never multiplied
         center, shape = contrast @ center, contrast @ shape @ contrast.T
     threshold = quantile_threshold(law, contrast, shape, alpha, rng, draws)
-    return ConfidenceSet(center=center, shape=shape,
-                         threshold=threshold, alpha=alpha, draws=draws)
+    return ConfidenceSet(center=center, shape=shape, threshold=threshold,
+                         alpha=alpha, draws=draws, law=law)

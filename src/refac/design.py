@@ -197,6 +197,11 @@ class _IndexPartition:
         """All indices, concatenated tier by tier."""
         return [i for tier in self.tiers for i in tier]
 
+    def slices(self) -> tuple[slice, ...]:
+        """Position of each tier in :meth:`order`."""
+        bounds = np.cumsum([0, *self.sizes()]).tolist()
+        return tuple(slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
+
     def validate(self, count: int) -> None:
         """Check that the tiers exactly cover range(count)."""
         flat = sorted(self.order())
@@ -280,9 +285,7 @@ def orthogonalize_effects(structure: FactorialStructure, sizes: GroupSizes,
     f_count = structure.f_count
     g_tier = structure.contrasts[order]
     b_tier = gram_b[np.ix_(order, order)]
-
-    bounds = np.cumsum([0, *partition.sizes()])
-    slices = tuple(slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]))
+    slices = partition.slices()
 
     lower = np.eye(f_count)
     for h in range(1, len(slices)):

@@ -16,7 +16,7 @@ from .asymptotic import LawComponent
 from .balance import BalanceCriterion, _group_sums, criterion_plan, group_means
 from .design import FactorialStructure, GroupSizes, coefficient_gram
 from .errors import ValidationError
-from .linalg import guarded_eigh, population_covariance, sym_sqrt
+from .linalg import guarded_eigh
 from .rerandomize import Assignment
 
 
@@ -122,16 +122,6 @@ def residual_covariance_estimate(moments: SampleMoments,
                             moments.residual_variances)
 
 
-def _standardized_cross(cross: np.ndarray, within: np.ndarray,
-                        target_cov: np.ndarray, *, label: str) -> np.ndarray:
-    """Rows u_q = s_{q,x} s_xx(q)^{-1/2} S_xx^{1/2}: per-group cross moments
-    standardized by the group and re-scaled to the population metric."""
-    target_root = sym_sqrt(target_cov, name=f"{label} covariance")
-    w, u = guarded_eigh(within, name=f"group {{}} {label} covariance")
-    standardized = np.einsum("ql,qlm->qm", cross, u) / np.sqrt(w)
-    return np.einsum("qm,qlm->ql", standardized, u) @ target_root
-
-
 def projection_coefficients(y_obs: np.ndarray, x: np.ndarray,
                             assignment: Assignment,
                             structure: FactorialStructure, sizes: GroupSizes,
@@ -141,27 +131,25 @@ def projection_coefficients(y_obs: np.ndarray, x: np.ndarray,
 
     One component per balance statistic (a single untruncated one for
     complete randomization), each scaled so its zeta vector is a standard
-    truncated Gaussian.  The criterion plan's law builder gets the
-    standardized per-group cross moments of each tier of the plan's
-    covariates.  ``moments`` are the :func:`sample_moments` of ``x``,
-    computed here when omitted; when the criterion splits the covariates
-    into several tiers, the moments of the residualized tiers are computed
-    here instead.
+    truncated Gaussian.  The criterion plan's law builder gets the per-group
+    cross moments s_{q,e} s_ee(q)^{-1/2} of each covariate tier, which
+    estimate those with the whitened covariates; they are taken from the
+    unwhitened moments, since per-group roots do not commute with whitening.
+    ``moments`` are the :func:`sample_moments` of ``x``, computed here when
+    omitted; when the criterion splits the covariates into several tiers,
+    the moments of the residualized tiers are computed here instead.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
     sizes.validate_for(structure)
     plan = criterion_plan(criterion, structure, sizes, x.shape[1])
-    e = plan.covariates(x)
     if moments is None or len(plan.covariate_partition) > 1:
-        moments = sample_moments(y_obs, e, assignment)
-    cross, covariances = [], []
-    for t, idx in enumerate(plan.covariate_partition.tiers):
-        idx = list(idx)
-        target = population_covariance(e[:, idx])
-        within = moments.covariate_cov[:, idx][:, :, idx]
-        cross.append(_standardized_cross(moments.cross_cov[:, idx], within, target,
-                                         label=plan.covariate_label(t)))
-        covariances.append(target)
-    return plan.law_components(moments.group_sizes, cross, covariances)
+        moments = sample_moments(y_obs, plan.covariates(x), assignment)
+    cross = []
+    for t, idx in enumerate(map(list, plan.covariate_partition.tiers)):
+        w, u = guarded_eigh(moments.covariate_cov[:, idx][:, :, idx],
+                            name=f"group {{}} {plan.covariate_label(t)} covariance")
+        standardized = np.einsum("ql,qlm->qm", moments.cross_cov[:, idx], u) / np.sqrt(w)
+        cross.append(np.einsum("qm,qlm->ql", standardized, u))
+    return plan.law_components(moments.group_sizes, np.hstack(cross))

@@ -39,18 +39,23 @@ def guarded_eigh(mat: np.ndarray, *, cond_limit: float = COND_LIMIT,
     """Eigendecomposition of a symmetric positive-definite matrix, or of
     each matrix of a (..., L, L) stack.
 
-    Fails loudly when a matrix is not PD or its relative condition number
-    exceeds ``cond_limit``, rather than regularizing.  For a stack, ``name``
-    is formatted with the 1-based flat position of the first failing matrix.
+    Fails loudly when a matrix has non-finite entries, is not PD or its
+    relative condition number exceeds ``cond_limit``, rather than
+    regularizing.  For a stack, ``name`` is formatted with the 1-based flat
+    position of the first failing matrix.
     """
     mat = np.asarray(mat, dtype=float)
-    eigvals, eigvecs = np.linalg.eigh(mat)
+    finite = np.isfinite(mat).all(axis=(-2, -1))
+    # eigh returns NaN or fails to converge on NaN or inf entries, and NaN
+    # passes the guards below, so such matrices are decomposed as zeros
+    eigvals, eigvecs = np.linalg.eigh(np.where(finite[..., None, None], mat, 0.0))
     smallest, largest = eigvals[..., 0], eigvals[..., -1]
-    bad = np.flatnonzero((largest <= 0.0) | (smallest <= 0.0)
-                         | (largest > cond_limit * smallest))
+    bad = np.flatnonzero(~finite | (smallest <= 0.0) | (largest > cond_limit * smallest))
     if bad.size:
         first = int(bad[0])
         label = name if mat.ndim == 2 else name.format(first + 1)
+        if not finite.flat[first]:
+            raise SingularMatrixError(f"{label} has non-finite entries")
         raise SingularMatrixError(
             f"{label} is singular or too ill-conditioned to invert (eigenvalue "
             f"range [{smallest.flat[first]:.3e}, {largest.flat[first]:.3e}])")
@@ -77,9 +82,12 @@ def psd_sqrt(mat: np.ndarray, *, floor: float = PSD_EIG_FLOOR,
     """Symmetric square root tolerating tiny negative round-off eigenvalues.
 
     Eigenvalues in ``[floor, 0)`` are clamped to zero; anything below
-    ``floor`` means the input is genuinely not PSD and raises.
+    ``floor`` means the input is genuinely not PSD and raises, and so do
+    non-finite entries.
     """
     mat = np.asarray(mat, dtype=float)
+    if not np.isfinite(mat).all():
+        raise SingularMatrixError(f"{name} has non-finite entries")
     w, u = np.linalg.eigh(mat)
     if w[0] < floor:
         raise SingularMatrixError(

@@ -414,22 +414,20 @@ def _replication_block(payload) -> tuple[np.ndarray, np.ndarray, np.ndarray | No
 def _collect_design(x, potential, structure, sizes, criterion, seed, d_index,
                     reps, want_coverage, alpha, law_draws, max_draws, tau,
                     workers):
-    if workers <= 1:
-        payload = (x, potential, structure.k, sizes.counts, criterion, seed,
-                   d_index, 0, reps, want_coverage, alpha, law_draws,
-                   max_draws, tau)
-        return _replication_block(payload)
-    import multiprocessing
-
+    """Replications of one design: one block runs here, several in a pool."""
     bounds = np.linspace(0, reps, workers + 1).astype(int)
     payloads = [
         (x, potential, structure.k, sizes.counts, criterion, seed, d_index,
          int(lo), int(hi), want_coverage, alpha, law_draws, max_draws, tau)
         for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
     ]
-    ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(processes=len(payloads)) as pool:
-        parts = pool.map(_replication_block, payloads)
+    if len(payloads) == 1:
+        parts = [_replication_block(payloads[0])]
+    else:
+        import multiprocessing
+
+        with multiprocessing.get_context("spawn").Pool(processes=len(payloads)) as pool:
+            parts = pool.map(_replication_block, payloads)
     taus = np.concatenate([p[0] for p in parts])
     draws = np.concatenate([p[1] for p in parts])
     covers = np.concatenate([p[2] for p in parts]) if want_coverage else None

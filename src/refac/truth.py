@@ -149,18 +149,16 @@ def law_from_truth(x: np.ndarray, potential: np.ndarray,
     """Exact asymptotic law of the centered effect estimator.
 
     The criterion plan's law builder gets the population cross-covariances
-    of the outcomes with each tier of the plan's covariates.  Coefficients
-    use the cross-covariance times inverse-square-root convention; the
-    simulated law does not depend on that choice.  ``truth`` is the
+    of the outcomes with the plan's whitened covariates
+    (:meth:`~refac.balance.CriterionPlan.whiten`), so each component's
+    coefficients are cross covariances in the whitened metric; the
+    simulated law does not depend on that choice of root.  ``truth`` is the
     :func:`population_truth` of the same tables, computed when omitted.
     """
     x, potential = _check_tables(x, potential, structure, sizes)
     if truth is None:
         truth = population_truth(x, potential, structure, sizes)
     plan = criterion_plan(criterion, structure, sizes, x.shape[1])
-    e = plan.covariates(x)
-    blocks = [e[:, list(idx)] for idx in plan.covariate_partition.tiers]
     components = plan.law_components(
-        sizes.counts, [population_covariance(potential, block) for block in blocks],
-        [population_covariance(block) for block in blocks])
+        sizes.counts, population_covariance(potential, plan.whiten(x)))
     return AsymptoticLaw(base_cov=truth.residual_cov, components=tuple(components))

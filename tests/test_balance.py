@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refac.balance import (BalanceReport, CompleteRandomization,
                            CriterionEngine, EffectTierCriterion,
@@ -20,6 +22,7 @@ from refac.design import (CovariateTierPartition, EffectTierPartition,
 from refac.errors import ValidationError
 from refac.rerandomize import draw_assignment_batch
 from refac.rng import stream
+from test_invariances import designs, partitions
 
 
 def _random_codes(sizes: GroupSizes, rng) -> np.ndarray:
@@ -278,42 +281,50 @@ def test_grid_sums_add_cells_by_group():
 # the batched engine
 
 
-def test_engine_matches_standalone_statistics():
-    s, sizes, x, codes = _setup(36)
-    cov = np.cov(x, rowvar=False, ddof=1)
-    batch = codes[None, :]
-
-    overall = CriterionEngine(x, s, sizes, MahalanobisCriterion(5.0))
-    diffs = covariate_diff_in_means(x, codes, s)
-    expected = mahalanobis_overall(diffs, imbalance_covariance(s, sizes, cov))
-    np.testing.assert_allclose(overall.statistics(batch), [[expected]],
-                               rtol=1e-10)
-
-    part = partition_by_order(s)
-    tiers = CriterionEngine(x, s, sizes, EffectTierCriterion(
-        partition=part, thresholds=(1.0, 2.0)))
+def _check_engine_against_standalone(s, sizes, x, codes, part, cov_part):
+    """Engine statistics on each row of ``codes`` against the per-assignment
+    Kronecker oracles, for the overall, effect-tier and grid criteria."""
+    cov = np.cov(x, rowvar=False, ddof=1).reshape(x.shape[1], -1)
     tiered = orthogonalize_effects(s, sizes, part)
-    theta = orthogonalized_diff_in_means(x, codes, s, tiered)
-    np.testing.assert_allclose(
-        tiers.statistics(batch)[0],
-        mahalanobis_effect_tiers(theta, tiered, cov), rtol=1e-10)
-
-    cov_part = CovariateTierPartition(((0, 2), (1,)))
-    grid = TierGrid.triangular(2, 2)
-    crit = GridTierCriterion(effect_partition=part, covariate_partition=cov_part,
-                             grid=grid, thresholds=(1.0, 2.0))
-    engine = CriterionEngine(x, s, sizes, crit)
-    # cell (t, h) is tier h's statistic on covariate tier t of the
-    # orthogonalized covariates; group j adds the cells of grid group j
     e = orthogonalize_covariates(x, cov_part)
-    cells = np.array([
-        mahalanobis_effect_tiers(
-            orthogonalized_diff_in_means(e[:, list(idx)], codes, s, tiered),
-            tiered, np.cov(e[:, list(idx)], rowvar=False, ddof=1).reshape(len(idx), -1))
-        for idx in cov_part.tiers])
-    sums = np.array([sum(cells[t, h] for t, h in cell) for cell in grid.cells])
-    np.testing.assert_allclose(engine.grid_cells(batch)[0], cells, rtol=1e-10)
-    np.testing.assert_allclose(engine.statistics(batch)[0], sums, rtol=1e-10)
+    grid = TierGrid.triangular(len(cov_part), len(part))
+    engines = [CriterionEngine(x, s, sizes, crit) for crit in (
+        MahalanobisCriterion(5.0),
+        EffectTierCriterion(partition=part, thresholds=(1.0,) * len(part)),
+        GridTierCriterion(effect_partition=part, covariate_partition=cov_part,
+                          grid=grid, thresholds=(1.0,) * len(grid)))]
+    for b, row in enumerate(codes):
+        batch = row[None, :]
+        diffs = covariate_diff_in_means(x, row, s)
+        expected = mahalanobis_overall(diffs, imbalance_covariance(s, sizes, cov))
+        np.testing.assert_allclose(engines[0].statistics(batch), [[expected]],
+                                   rtol=1e-10)
+        theta = orthogonalized_diff_in_means(x, row, s, tiered)
+        np.testing.assert_allclose(engines[1].statistics(batch)[0],
+                                   mahalanobis_effect_tiers(theta, tiered, cov), rtol=1e-10)
+        # cell (t, h) is tier h's statistic on covariate tier t of the
+        # orthogonalized covariates; group j adds the cells of grid group j
+        cells = np.array([
+            mahalanobis_effect_tiers(
+                orthogonalized_diff_in_means(e[:, list(idx)], row, s, tiered),
+                tiered, np.cov(e[:, list(idx)], rowvar=False, ddof=1).reshape(len(idx), -1))
+            for idx in cov_part.tiers])
+        sums = np.array([sum(cells[t, h] for t, h in cell) for cell in grid.cells])
+        np.testing.assert_allclose(engines[2].grid_cells(codes)[b], cells, rtol=1e-10)
+        np.testing.assert_allclose(engines[2].statistics(codes)[b], sums, rtol=1e-10)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_engine_matches_standalone_statistics(data):
+    s, sizes, x, codes = _setup(36)
+    _check_engine_against_standalone(s, sizes, x, codes[None, :], partition_by_order(s),
+                                     CovariateTierPartition(((0, 2), (1,))))
+    # drawn tiers of unequal sizes, in any order, under unequal group sizes
+    s, sizes, x, codes, _ = data.draw(designs())
+    _check_engine_against_standalone(
+        s, sizes, x, codes, EffectTierPartition(data.draw(partitions(s.f_count))),
+        CovariateTierPartition(data.draw(partitions(x.shape[1]))))
 
 
 def test_single_covariate_tier_in_any_column_order_is_the_overall_statistic():

@@ -67,7 +67,7 @@ def test_design_writes_assignment_and_report(tmp_path):
     assert all(labels.count(q) == 8 for q in (1, 2, 3, 4))
 
     payload = json.loads(rep.read_text())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["command"] == "design"
     assert payload["config"]["seed"] == 5
     assert payload["config"]["covariates"] == ["age", "score"]
@@ -157,6 +157,15 @@ def test_design_validation_failures(tmp_path, capsys):
                      encoding="utf-8")
     code, err = run(covariates=str(words))
     assert code == 2 and "not a number" in err
+
+    # NaN parses as a float; it once reached the draw loop and ended there
+    # in a bare AssertionError
+    not_finite = tmp_path / "nan.csv"
+    text = open(cov, encoding="utf-8").read().splitlines()
+    text[3] = text[3].rsplit(",", 1)[0] + ",nan"
+    not_finite.write_text("\n".join(text) + "\n", encoding="utf-8")
+    code, err = run(covariates=str(not_finite))
+    assert code == 2 and "row 4, column 'score': not a number: 'nan' (values must be finite)" in err
 
     bad_key = _design_config(tmp_path / "bad_key.json", extra_knob=1)
     code, err = run(config=bad_key)
@@ -359,6 +368,16 @@ def test_analyze_data_validation(tmp_path, capsys):
                  "--out", out]) == 2
     assert "config expects" in capsys.readouterr().err
 
+    data, cfg, _, _ = _analysis_files(tmp_path)
+    rows = _read_csv(data)
+    rows[5][rows[0].index("outcome")] = "inf"
+    with open(data, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(["analyze", "--config", cfg, "--data", data, "--seed", "1",
+                 "--out", out]) == 2
+    assert "row 6, column 'outcome': not a number: 'inf' (values must be finite)" in \
+        capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # simulate
@@ -394,7 +413,7 @@ def test_simulate_writes_csv_and_json(tmp_path):
     assert {r[0] for r in rows[1:]} == {"complete", "balanced"}
 
     payload = json.loads(out_json.read_text())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["command"] == "simulate"
     assert payload["config"]["reps"] == 30
     assert payload["config"]["seed"] == 3
@@ -465,15 +484,19 @@ def test_simulate_validation(tmp_path, capsys):
 
 
 def _plain(value):
-    """``value`` with tuples as lists, the shape JSON gives back, and NaN
-    (coverage off) as a string, so that equal reports compare equal."""
+    """``value`` with tuples as lists and NaN (coverage off) as None, the
+    shape JSON gives back, so that equal reports compare equal."""
     if isinstance(value, float) and value != value:
-        return "NaN"
+        return None
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     return value
+
+
+def _reject_constant(name):
+    raise AssertionError(f"report holds {name}, which is not JSON")
 
 
 def test_reports_are_one_line_of_json_that_round_trips(tmp_path, monkeypatch):
@@ -499,8 +522,8 @@ def test_reports_are_one_line_of_json_that_round_trips(tmp_path, monkeypatch):
     for path in reports:
         text = open(path, encoding="utf-8").read()
         assert text.endswith("}\n") and text.count("\n") == 1
-        loaded = json.loads(text)
-        assert loaded["schema_version"] == 1
+        loaded = json.loads(text, parse_constant=_reject_constant)
+        assert loaded["schema_version"] == 2
         assert _plain(loaded) == _plain(written[path])  # floats compare exactly
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from refac.asymptotic import quadratic_form_samples
+from refac.asymptotic import AsymptoticLaw, quadratic_form_samples
 from refac.balance import (CompleteRandomization, MahalanobisCriterion,
                            thresholds_from_probability)
 from refac.chisq import chi2_quantile
@@ -41,7 +41,8 @@ def _setup(seed, n=400, beta=(1.0, 0.5), noise=0.8):
 def test_confidence_set_contains_and_intervals():
     cs = ConfidenceSet(center=np.array([1.0, -2.0]),
                        shape=np.diag([4.0, 9.0]), threshold=2.0,
-                       alpha=0.05, draws=1000)
+                       alpha=0.05, draws=1000,
+                       law=AsymptoticLaw(base_cov=np.diag([4.0, 9.0]), components=()))
     assert cs.contains([1.0, -2.0])
     assert not cs.contains([1.0 + 4.0, -2.0])
     intervals = cs.axis_intervals()
@@ -99,6 +100,9 @@ def test_confidence_set_center_and_determinism():
     assert cs1.threshold == cs2.threshold
     np.testing.assert_array_equal(cs1.center, cs2.center)
     assert cs1.alpha == 0.05 and cs1.draws == 4000
+    law = estimated_law(y, x, a, s, sizes, crit)
+    np.testing.assert_array_equal(cs1.law.covariance(), law.covariance())
+    np.testing.assert_array_equal(cs1.shape, law.base_cov)
     from refac.estimate import effect_estimates
     np.testing.assert_allclose(cs1.center, effect_estimates(y, a, s),
                                atol=1e-12)

@@ -55,6 +55,13 @@ def test_guarded_eigh_names_the_matrix():
         guarded_eigh(singular, name="my gram")
     with pytest.raises(SingularMatrixError):
         sym_inverse(np.diag([1.0, 1e-15]))
+    # every comparison with NaN is false, so a guard phrased as "fail when
+    # below the floor" once let NaN and inf matrices through
+    for bad in (np.nan, np.inf):
+        with pytest.raises(SingularMatrixError, match="my gram"):
+            guarded_eigh(np.array([[1.0, bad], [bad, 2.0]]), name="my gram")
+        with pytest.raises(SingularMatrixError, match="group 2"):
+            guarded_eigh(np.stack([np.eye(2), np.diag([1.0, bad])]), name="group {}")
 
 
 def test_psd_sqrt_tolerates_round_off_only():
@@ -66,6 +73,9 @@ def test_psd_sqrt_tolerates_round_off_only():
     np.testing.assert_allclose(root @ root, jittered, atol=1e-8)
     with pytest.raises(SingularMatrixError):
         psd_sqrt(np.diag([1.0, -1e-3]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(SingularMatrixError):
+            psd_sqrt(np.array([[1.0, bad], [bad, 2.0]]))
 
 
 def test_kronecker_dense_routes_agree():
