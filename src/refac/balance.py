@@ -273,9 +273,10 @@ def thresholds_from_probability(dims, probs) -> np.ndarray:
         if not float(dim).is_integer() or dim < 1:
             raise ValidationError(f"dimension #{i + 1} must be a positive integer, got {dim}")
         if not 0.0 < p < 1.0:
+            hint = "; use complete randomization instead of p = 1" if p >= 1.0 else ""
             raise ValidationError(
                 f"acceptance probability #{i + 1} must lie strictly inside (0, 1), "
-                f"got {p}; use complete randomization instead of p = 1")
+                f"got {p}{hint}")
         out[i] = chisq.chi2_quantile(float(p), int(dim))
     return out
 

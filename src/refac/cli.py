@@ -26,6 +26,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .balance import (BalanceCriterion, CompleteRandomization, CriterionEngine,
                       EffectTierCriterion, GridTierCriterion,
@@ -79,19 +80,16 @@ def _write_csv(path: str | None, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _finite_or_null(value):
-    """``value`` with every NaN or infinite float (an undefined figure) as None."""
-    if isinstance(value, dict):
-        return {key: _finite_or_null(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite_or_null(item) for item in value]
-    return None if isinstance(value, float) and not math.isfinite(value) else value
-
-
 def _write_json(path: str | None, payload: dict) -> None:
-    """One line of strict JSON (RFC 8259), with NaN written as null."""
-    with _open_out(path) as fh:
-        fh.write(json.dumps(_finite_or_null(payload), allow_nan=False) + "\n")
+    """One line of strict JSON (RFC 8259) in UTF-8, with NaN and infinities
+    written as null."""
+    line = orjson.dumps(payload, option=orjson.OPT_SERIALIZE_NUMPY) + b"\n"
+    if path is None or path == "-":
+        sys.stdout.flush()
+        sys.stdout.buffer.write(line)
+    else:
+        with open(path, "wb") as fh:
+            fh.write(line)
 
 
 def _load_json(path: str):
@@ -727,7 +725,7 @@ def cmd_thresholds(args) -> None:
                 f"--a lists {len(cutoffs)} values for {len(dims)} dimensions")
         for a in cutoffs:
             if not (math.isfinite(a) and a > 0.0):
-                raise ValidationError(f"cutoffs must be positive, got {a}")
+                raise ValidationError(f"cutoffs must be positive and finite, got {a}")
         probs = [chi2_cdf(a, d) for a, d in zip(cutoffs, dims)]
     factors = [truncation_variance_factor(d, a) for d, a in zip(dims, cutoffs)]
     rows = [(i + 1, dims[i], cutoffs[i], probs[i], factors[i])

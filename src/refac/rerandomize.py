@@ -156,8 +156,8 @@ def rerandomize(x: np.ndarray, structure: FactorialStructure, sizes: GroupSizes,
     p_accept = engine.acceptance_probability
     if max_draws is None:
         max_draws = default_max_draws(p_accept)
-    if max_draws < 1:
-        raise ValidationError(f"max_draws must be at least 1, got {max_draws}")
+    if not 1 <= max_draws < 2 ** 63:
+        raise ValidationError(f"max_draws must lie in [1, 2**63), got {max_draws}")
 
     attempted = 0
     best_ratio = math.inf

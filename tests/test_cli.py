@@ -3,6 +3,7 @@
 import csv
 import importlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -191,6 +192,13 @@ def test_design_validation_failures(tmp_path, capsys):
     not_json.write_text("{", encoding="utf-8")
     code, err = run(config=str(not_json))
     assert code == 2 and "invalid JSON" in err
+
+    # a budget the report cannot write as a 64-bit integer is refused before
+    # any draw and before the assignment file is written
+    huge = _design_config(tmp_path / "huge.json", max_draws=2 ** 70)
+    code, err = run(config=huge)
+    assert code == 2 and f"max_draws must lie in [1, 2**63), got {2 ** 70}" in err
+    assert not (tmp_path / "a.csv").exists()
 
 
 def test_design_budget_exhausted(tmp_path, capsys):
@@ -527,6 +535,26 @@ def test_reports_are_one_line_of_json_that_round_trips(tmp_path, monkeypatch):
         assert _plain(loaded) == _plain(written[path])  # floats compare exactly
 
 
+def test_write_json_is_one_line_of_strict_utf8_json(tmp_path, capsys):
+    cli = importlib.import_module("refac.cli")
+    floats = [1e-5, 1e16, 5e-324, -0.0, 1 / 3]
+    undefined = [math.nan, math.inf, -math.inf,
+                 np.float64("nan"), np.float64("inf"), np.float64("-inf")]
+    payload = {"floats": floats, "undefined": undefined, "count": np.int64(7),
+               "passed": np.bool_(True), "pair": (1, 2), "covariates": ["âge", "score"]}
+    path = tmp_path / "report.json"
+    cli._write_json(str(path), payload)
+    cli._write_json(None, payload)
+    for text in (path.read_bytes().decode("utf-8"), capsys.readouterr().out):
+        assert text.endswith("}\n") and text.count("\n") == 1
+        assert '"âge"' in text
+        loaded = json.loads(text, parse_constant=_reject_constant)
+        assert loaded == {"floats": floats, "undefined": [None] * 6, "count": 7,
+                          "passed": True, "pair": [1, 2], "covariates": ["âge", "score"]}
+        assert np.array(loaded["floats"]).view(np.uint64).tolist() == \
+            np.array(floats).view(np.uint64).tolist()
+
+
 # ---------------------------------------------------------------------------
 # thresholds
 
@@ -569,4 +597,14 @@ def test_thresholds_to_stdout_and_validation(tmp_path, capsys):
     assert main(["thresholds", "--dims", "3,2", "--p", "0.2"]) == 2
     assert "--p lists 1 values for 2" in capsys.readouterr().err
     assert main(["thresholds", "--dims", "3", "--a", "-1.0"]) == 2
-    assert "positive" in capsys.readouterr().err
+    assert "cutoffs must be positive and finite, got -1.0" in capsys.readouterr().err
+    assert main(["thresholds", "--dims", "3", "--a", "inf"]) == 2
+    assert "cutoffs must be positive and finite, got inf" in capsys.readouterr().err
+    for p in ("0", "nan"):
+        assert main(["thresholds", "--dims", "3", "--p", p]) == 2
+        err = capsys.readouterr().err
+        assert f"strictly inside (0, 1), got {float(p)}" in err
+        assert "complete randomization" not in err
+    assert main(["thresholds", "--dims", "3", "--p", "1"]) == 2
+    assert "got 1.0; use complete randomization instead of p = 1" in \
+        capsys.readouterr().err
