@@ -81,11 +81,10 @@ def _write_csv(path: str | None, header, rows) -> None:
 
 
 def _write_json(path: str | None, payload: dict) -> None:
-    """One line of strict JSON (RFC 8259) in UTF-8, with NaN and infinities
-    written as null."""
+    """One line of strict JSON (RFC 8259) in UTF-8; NaN and infinities become null."""
     line = orjson.dumps(payload, option=orjson.OPT_SERIALIZE_NUMPY) + b"\n"
     if path is None or path == "-":
-        sys.stdout.flush()
+        sys.stdout.flush()  # text already written to stdout comes first
         sys.stdout.buffer.write(line)
     else:
         with open(path, "wb") as fh:
