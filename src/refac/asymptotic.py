@@ -15,10 +15,10 @@ The law of zeta_i is invariant under rotations, so ``coef_i zeta_i`` has the
 law of ``B_i zeta_i[:r_i]``, where ``B_i B_i' = coef_i coef_i'`` and
 r_i = rank(coef_i) <= min(F, d_i).  This is the r-coordinate form of the
 scalar representation of Li, Ding & Rubin (2018, PNAS, "Asymptotic theory of
-rerandomization in treatment-control experiments").  Untruncated components
-are Gaussian and fold into the base covariance.  A draw of the law then
-costs F normals for the base, and r_i normals, a squared radius and one
-chi-square scalar per truncated component.
+rerandomization in treatment-control experiments").  A law draw costs F
+normals for the base, into which untruncated components fold, and r_i normals,
+a squared radius and one chi-square per truncated component.  A draw of its
+whitened quadratic form needs at most F' (contrast rows) normals per part.
 
 A truncated vector is a radius times a uniform direction.  The first r
 coordinates of the direction are g / sqrt(||g||^2 + chi^2_{d-r}), with g an
@@ -39,8 +39,9 @@ import numpy as np
 from scipy import special
 
 from .chisq import truncation_variance_factor  # noqa: F401  (re-exported)
-from .errors import ValidationError
-from .linalg import guarded_eigh, psd_sqrt, sym_inv_sqrt
+from .design import CONTRAST_BUDGET_BYTES
+from .errors import SingularMatrixError, ValidationError
+from .linalg import PSD_EIG_FLOOR, guarded_eigh, psd_sqrt, sym_inv_sqrt
 
 #: below this acceptance rate of both rejection proposals the squared radius
 #: is drawn by the inverse CDF, which costs about as much as 20 proposals
@@ -51,6 +52,9 @@ PROPOSAL_CHUNK = 1 << 16
 
 #: law draws whose truncated part is added at once, which bounds the temporary
 LAW_ROW_CHUNK = 1 << 13
+
+#: bytes of one (rows, F') chunk of a quadratic-form sample
+QUANTILE_CHUNK_BYTES = 8 << 20
 
 
 def _untruncated(cutoff: float | None) -> bool:
@@ -208,20 +212,17 @@ class AsymptoticLaw:
         return correlation_profile(total_cov, [c.coef @ c.coef.T for c in self.components])
 
 
-def simulate_law(law: AsymptoticLaw, rng: np.random.Generator, draws: int,
-                 transform: np.ndarray | None = None) -> np.ndarray:
-    """(draws, dim) Monte Carlo sample of the law, or (draws, F') of
-    ``transform`` (F' x dim) times it.
+def simulate_law(law: AsymptoticLaw, rng: np.random.Generator,
+                 draws: int) -> np.ndarray:
+    """(draws, dim) Monte Carlo sample of the law.
 
     Untruncated components fold into the Gaussian base, which is drawn
     first as (draws, dim) normals.  Each truncated component follows in
     declaration order, as the rank(coef) leading coordinates of its
     truncated vector (:func:`truncated_gaussian_sample` with ``coords``).
     A fixed generator state therefore reproduces the sample exactly, and
-    no (draws, d) array is formed for a d-dimensional component.  The
-    transform multiplies the base root and each rank factor before the
-    draws, so it consumes the same normals.  Each truncated part is added
-    :data:`LAW_ROW_CHUNK` rows at a time.
+    no (draws, d) array is formed for a d-dimensional component.  Each
+    truncated part is added :data:`LAW_ROW_CHUNK` rows at a time.
     """
     if draws < 1:
         raise ValidationError(f"draws must be >= 1, got {draws}")
@@ -233,9 +234,6 @@ def simulate_law(law: AsymptoticLaw, rng: np.random.Generator, draws: int,
         else:
             truncated.append((comp, _rank_factor(comp.coef)))
     root = psd_sqrt(base, name="law base covariance")
-    if transform is not None:
-        root = transform @ root
-        truncated = [(comp, transform @ factor) for comp, factor in truncated]
     out = rng.standard_normal((draws, law.dim)) @ root.T
     for comp, factor in truncated:
         zeta = truncated_gaussian_sample(comp.dim, comp.cutoff, rng, draws,
@@ -344,23 +342,55 @@ def validate_contrast(contrast: np.ndarray, dim: int) -> np.ndarray:
     return contrast
 
 
+def validate_law_draws(draws: int) -> None:
+    """Refuse a quadratic-form sample, 8 bytes a draw, beyond the budget."""
+    if not 1 <= draws <= CONTRAST_BUDGET_BYTES // 8:
+        raise ValidationError(
+            f"law draws must lie in [1, {CONTRAST_BUDGET_BYTES // 8}], got {draws}")
+
+
 def quadratic_form_samples(law: AsymptoticLaw, contrast: np.ndarray | None,
                            shape: np.ndarray, rng: np.random.Generator,
                            draws: int) -> np.ndarray:
-    """Monte Carlo sample of (C phi)' shape^{-1} (C phi) under the law.
+    """Monte Carlo sample of q = (C phi)' shape^{-1} (C phi) under the law.
 
-    ``contrast=None`` stands for the identity, which is never multiplied.
-    The law is drawn through the whitening transform W^{-1/2} U' C, with
-    shape = U W U', so each sample is a squared row norm.
+    ``contrast=None`` is the identity, never multiplied.  With shape = U W U'
+    and T = W^{-1/2} U' C (F' rows), q = ||T phi||^2.  Let s >= 0 be the
+    least eigenvalue of M = T base T' and c the sum of the rank-reduced parts
+    (M - s I)^{1/2} eps and T coef_i zeta_i.  Then T phi = sqrt(s) eps_0 + c,
+    eps_0 ~ N(0, I_F') independent of c, so q = s chi^2_{F'-1} +
+    (sqrt(s) z + ||c||)^2, a scaled noncentral chi-square (numpy's own one
+    fails at large noncentrality for F' = 1).  Chunks of
+    :data:`QUANTILE_CHUNK_BYTES` / 8F' rows each draw the M - s I normals,
+    each component in declaration order (untruncated ones as standard
+    normals), the chi^2_{F'-1} and then the z scalars; only q is kept.
     """
-    if contrast is not None:
-        contrast = validate_contrast(contrast, law.dim)
+    validate_law_draws(draws)
     w, u = guarded_eigh(shape, name="confidence shape")
-    whiten = u.T / np.sqrt(w)[:, None]
+    t = u.T / np.sqrt(w)[:, None]
     if contrast is not None:
-        whiten = whiten @ contrast
-    z = simulate_law(law, rng, draws, transform=whiten)
-    return np.einsum("ij,ij->i", z, z)
+        t = t @ validate_contrast(contrast, law.dim)
+    f_count = t.shape[0]
+    lam, vec = np.linalg.eigh(t @ law.base_cov @ t.T)
+    if lam[0] < PSD_EIG_FLOOR * max(lam[-1], 1.0):
+        raise SingularMatrixError(f"law base covariance is not PSD (min eigenvalue {lam[0]:.3e})")
+    s = max(lam[0], 0.0)
+    keep = lam - s > max(lam[-1], 0.0) * f_count * np.finfo(float).eps
+    parts = [(f_count, None, vec[:, keep] * np.sqrt(lam[keep] - s))] if keep.any() else []
+    parts += [(c.dim, c.cutoff, _rank_factor(t @ c.coef)) for c in law.components]
+    out = np.empty(draws)
+    step = max(1, QUANTILE_CHUNK_BYTES // (8 * f_count))
+    for start in range(0, draws, step):
+        rows = min(step, draws - start)
+        c = np.zeros((rows, f_count))
+        for dim, cutoff, factor in parts:
+            r = factor.shape[1]
+            c += (rng.standard_normal((rows, r)) if _untruncated(cutoff) else
+                  truncated_gaussian_sample(dim, cutoff, rng, rows, coords=r)) @ factor.T
+        norm = np.sqrt(np.einsum("ij,ij->i", c, c))
+        out[start:start + rows] = (2.0 * s * rng.standard_gamma(0.5 * (f_count - 1), rows)
+                                   + (math.sqrt(s) * rng.standard_normal(rows) + norm) ** 2)
+    return out
 
 
 def quantile_thresholds(law: AsymptoticLaw, contrast: np.ndarray | None,

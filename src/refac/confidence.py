@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotic import AsymptoticLaw, quantile_threshold, validate_contrast
+from .asymptotic import (AsymptoticLaw, quantile_threshold, validate_contrast,
+                         validate_law_draws)
 from .balance import BalanceCriterion
 from .design import FactorialStructure, GroupSizes
 from .errors import ValidationError
@@ -98,6 +99,7 @@ def confidence_set(y_obs: np.ndarray, x: np.ndarray, assignment: Assignment,
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie strictly inside (0, 1), got {alpha}")
+    validate_law_draws(draws)
     if contrast is not None:
         contrast = validate_contrast(contrast, structure.f_count)
     law = estimated_law(y_obs, x, assignment, structure, sizes, criterion)

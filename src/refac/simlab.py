@@ -19,6 +19,7 @@ Substream layout (first path component is a namespace tag):
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field, fields
 from typing import Sequence
@@ -26,7 +27,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
-from .asymptotic import simulate_law, variance_reduction
+from .asymptotic import simulate_law, validate_law_draws, variance_reduction
 from .balance import (BalanceCriterion, CompleteRandomization, CriterionEngine,
                       EffectTierCriterion)
 from .chisq import chi2_quantile
@@ -411,15 +412,20 @@ def _replication_block(payload) -> tuple[np.ndarray, np.ndarray, np.ndarray | No
     return taus, draws, covers
 
 
+def _rep_blocks(reps: int, workers: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of min(workers, reps, CPU count) nonempty blocks of reps."""
+    blocks = min(workers, reps, os.cpu_count() or 1)
+    return [(i * reps // blocks, (i + 1) * reps // blocks) for i in range(blocks)]
+
+
 def _collect_design(x, potential, structure, sizes, criterion, seed, d_index,
                     reps, want_coverage, alpha, law_draws, max_draws, tau,
                     workers):
     """Replications of one design: one block runs here, several in a pool."""
-    bounds = np.linspace(0, reps, workers + 1).astype(int)
     payloads = [
         (x, potential, structure.k, sizes.counts, criterion, seed, d_index,
-         int(lo), int(hi), want_coverage, alpha, law_draws, max_draws, tau)
-        for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
+         lo, hi, want_coverage, alpha, law_draws, max_draws, tau)
+        for lo, hi in _rep_blocks(reps, workers)
     ]
     if len(payloads) == 1:
         parts = [_replication_block(payloads[0])]
@@ -513,6 +519,8 @@ def replicate(population: Population, structure: FactorialStructure,
     if theory_draws < 1_000:
         raise ValidationError(
             f"theory_draws must be at least 1000, got {theory_draws}")
+    if coverage:
+        validate_law_draws(law_draws)
     if population.k != structure.k:
         raise ValidationError(
             f"population was generated for k={population.k}, structure has "

@@ -16,6 +16,7 @@ from refac.asymptotic import (AsymptoticLaw, CorrelationProfile, LawComponent,
                               truncated_gaussian_sample, validate_contrast,
                               variance_reduction)
 from refac.chisq import chi2_quantile, truncation_variance_factor
+from refac.design import CONTRAST_BUDGET_BYTES
 from refac.errors import ValidationError
 from refac.rng import stream
 
@@ -310,23 +311,99 @@ def test_law_rows_added_in_chunks_match_one_product(monkeypatch):
                                rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("contrast", [None, np.array([[1.0, -1.0, 0.0, 0.5],
-                                                     [0.0, 2.0, 1.0, 0.0]])])
-def test_whitened_quadratic_form_matches_the_kernel_form(contrast):
+TWO_ROWS = np.array([[1.0, -1.0, 0.0, 0.5], [0.0, 2.0, 1.0, 0.0]])
+
+
+def _contrasted(mat, contrast):
+    return mat if contrast is None else contrast @ mat @ contrast.T
+
+
+@pytest.mark.parametrize("shaped", ["random", "base"])
+@pytest.mark.parametrize("contrast", [None, TWO_ROWS], ids=["identity", "two rows"])
+def test_quadratic_form_mean_is_the_trace(contrast, shaped):
+    # E[q] = tr(shape^{-1} C Sigma C') for a law with truncated and
+    # untruncated components, whichever part of it the shape whitens
     rng = stream(73, 10)
     law = _mixed_law(rng)
     rows = 4 if contrast is None else contrast.shape[0]
     a = rng.standard_normal((rows, rows))
-    shape = a @ a.T + 0.5 * np.eye(rows)
-    samples = quadratic_form_samples(law, contrast, shape, stream(73, 11), 3000)
-    phi = simulate_law(law, stream(73, 11), 3000)
-    if contrast is not None:
-        phi = phi @ contrast.T
-        np.testing.assert_allclose(
-            simulate_law(law, stream(73, 11), 3000, transform=contrast), phi,
-            rtol=1e-12, atol=1e-12)
-    expected = ((phi @ np.linalg.inv(shape)) * phi).sum(axis=1)
-    np.testing.assert_allclose(samples, expected, rtol=1e-10)
+    shape = (a @ a.T + 0.5 * np.eye(rows) if shaped == "random"
+             else _contrasted(law.base_cov, contrast))
+    draws = 200_000
+    q = quadratic_form_samples(law, contrast, shape, stream(73, 11), draws)
+    expected = np.trace(np.linalg.solve(shape, _contrasted(law.covariance(), contrast)))
+    assert abs(q.mean() - expected) <= 4.5 * q.std(ddof=1) / math.sqrt(draws)
+
+
+@pytest.mark.parametrize("contrast", [None, TWO_ROWS], ids=["identity", "two rows"])
+@pytest.mark.parametrize("untruncated", [False, True], ids=["base only", "with component"])
+def test_gaussian_law_whitened_by_its_covariance_is_chi_square(contrast, untruncated):
+    # a Gaussian law standardized by its own covariance gives chi^2_F'
+    # quantiles; with an untruncated component the shape whitens base plus
+    # component, so the base leaves a part M - s I that must be drawn
+    rng = stream(73, 14)
+    a = rng.standard_normal((4, 4))
+    components = (LawComponent(rng.standard_normal((4, 3)), 3, None),) if untruncated else ()
+    law = AsymptoticLaw(base_cov=a @ a.T + 0.2 * np.eye(4), components=components)
+    shape = _contrasted(law.covariance(), contrast)
+    draws = 200_000
+    q = quadratic_form_samples(law, contrast, shape, stream(73, 15), draws)
+    df = shape.shape[0]
+    for p in (0.25, 0.5, 0.9, 0.95):
+        x = chi2_quantile(p, df)
+        se = math.sqrt(p * (1 - p) / draws) / scipy.stats.chi2.pdf(x, df)
+        assert abs(np.quantile(q, p) - x) <= 4.5 * se, p
+
+
+def test_zero_base_quadratic_form_is_the_component_norm():
+    # with no Gaussian base q = ||c||^2: a whitened truncated vector's
+    # squared norm, which never passes the cutoff and follows the
+    # truncated chi-square
+    cutoff = chi2_quantile(0.3, 3)
+    law = AsymptoticLaw(base_cov=np.zeros((3, 3)),
+                        components=(LawComponent(2.0 * np.eye(3), 3, cutoff),))
+    q = quadratic_form_samples(law, None, 4.0 * np.eye(3), stream(73, 16), 20_000)
+    assert q.max() <= cutoff * (1 + 1e-12)
+    mass = scipy.stats.chi2.cdf(cutoff, 3)
+    result = scipy.stats.kstest(q, lambda t: scipy.stats.chi2.cdf(t, 3) / mass)
+    assert result.pvalue > 0.005
+
+
+def test_one_row_form_survives_a_vanishing_base():
+    # a base 1e-30 of the component puts the noncentrality near 1e30, where
+    # a Poisson-mixture draw of the noncentral chi-square overflows
+    law = AsymptoticLaw(base_cov=1e-30 * np.eye(2),
+                        components=(LawComponent(np.eye(2), 2, None),))
+    contrast = np.array([[1.0, 0.0]])
+    draws = 20_000
+    q = 1e-30 * quadratic_form_samples(law, contrast, 1e-30 * np.eye(1),
+                                       stream(73, 20), draws)
+    assert abs(q.mean() - 1.0) <= 4.5 * q.std(ddof=1) / math.sqrt(draws)
+
+
+def test_quadratic_form_memory_does_not_grow_with_draws():
+    # F = 63 with 200k draws: one (draws, F) array would take 100 MB
+    f_count, draws = 63, 200_000
+    rng = stream(73, 17)
+    a = rng.standard_normal((f_count, f_count))
+    law = AsymptoticLaw(base_cov=np.eye(f_count), components=(
+        LawComponent(rng.standard_normal((f_count, 80)), 80, chi2_quantile(0.2, 80)),))
+    tracemalloc.start()
+    try:
+        q = quadratic_form_samples(law, None, a @ a.T + np.eye(f_count),
+                                   stream(73, 18), draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q.shape == (draws,)
+    assert peak < 32 * 2 ** 20
+
+
+def test_law_draws_are_bounded_before_sampling():
+    law = AsymptoticLaw(base_cov=np.eye(2), components=())
+    for draws in (0, CONTRAST_BUDGET_BYTES // 8 + 1):
+        with pytest.raises(ValidationError, match="law draws"):
+            quadratic_form_samples(law, None, np.eye(2), stream(73, 19), draws)
 
 
 def test_quantile_thresholds_are_nested_and_scale_with_shape():

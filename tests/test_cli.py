@@ -386,6 +386,12 @@ def test_analyze_data_validation(tmp_path, capsys):
     assert "row 6, column 'outcome': not a number: 'inf' (values must be finite)" in \
         capsys.readouterr().err
 
+    # the law sample holds 8 bytes a draw: 10^10 draws are refused up front
+    data, cfg, _, _ = _analysis_files(tmp_path)
+    assert main(["analyze", "--config", cfg, "--data", data, "--seed", "1",
+                 "--draws", "10000000000", "--out", out]) == 2
+    assert "law draws must lie in [1, " in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # simulate
@@ -485,6 +491,11 @@ def test_simulate_validation(tmp_path, capsys):
         {"name": "a", "criterion": {"type": "overall", "p": 0.5}}],
         "seed": 1, "typo_key": True})
     assert code == 2 and "unknown keys" in err
+
+    code, err = run({"designs": [
+        {"name": "a", "criterion": {"type": "overall", "p": 0.5}}],
+        "seed": 1, "coverage": True, "draws": 10 ** 10})
+    assert code == 2 and "law draws must lie in" in err
 
 
 # ---------------------------------------------------------------------------

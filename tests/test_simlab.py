@@ -9,12 +9,12 @@ import pytest
 from refac.balance import (EffectTierCriterion, MahalanobisCriterion,
                            thresholds_from_probability)
 from refac.chisq import chi2_quantile, truncation_variance_factor
-from refac.design import (EffectTierPartition, GroupSizes, build_structure,
+from refac.design import (CONTRAST_BUDGET_BYTES, EffectTierPartition, GroupSizes, build_structure,
                           partition_by_order)
 from refac.errors import ValidationError
 from refac.rng import stream
 from refac.simlab import (BASELINE_NAME, CovariateColumn, OutcomeRecipe,
-                          Population, PopulationSpec, _quantile_se,
+                          Population, PopulationSpec, _quantile_se, _rep_blocks,
                           _ratio_reduction_se, _variance_se, binary_column,
                           education_like, generate_population, normal_column,
                           replicate, report_rows, report_to_dict,
@@ -360,6 +360,22 @@ def test_replicate_validation():
                   reps=4, seed=1)
     with pytest.raises(ValidationError, match="group sizes sum"):
         replicate(pop, s, GroupSizes.equal(4, 100), [], reps=4, seed=1)
+    for law_draws in (0, CONTRAST_BUDGET_BYTES // 8 + 1):
+        with pytest.raises(ValidationError, match="law draws"):
+            replicate(pop, s, sizes, [], reps=4, seed=1, coverage=True,
+                      law_draws=law_draws)
+
+
+def test_rep_blocks_are_capped_by_reps_and_cpus(monkeypatch):
+    # a huge worker count splits into at most min(reps, CPU count) blocks,
+    # computed without an array of workers + 1 bounds; no process starts
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    assert _rep_blocks(2, 10 ** 12) == [(0, 1), (1, 2)]
+    assert _rep_blocks(10, 3) == [(0, 3), (3, 6), (6, 10)]
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert _rep_blocks(10, 10 ** 12) == [(0, 2), (2, 5), (5, 7), (7, 10)]
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert _rep_blocks(2, 10 ** 12) == [(0, 2)]
 
 
 def test_replicate_variance_reduction_tracks_theory_loosely():
