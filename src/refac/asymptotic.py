@@ -377,7 +377,7 @@ def quadratic_form_samples(law: AsymptoticLaw, contrast: np.ndarray | None,
     s = max(lam[0], 0.0)
     keep = lam - s > max(lam[-1], 0.0) * f_count * np.finfo(float).eps
     parts = [(f_count, None, vec[:, keep] * np.sqrt(lam[keep] - s))] if keep.any() else []
-    parts += [(c.dim, c.cutoff, _rank_factor(t @ c.coef)) for c in law.components]
+    parts += [(comp.dim, comp.cutoff, _rank_factor(t @ comp.coef)) for comp in law.components]
     out = np.empty(draws)
     step = max(1, QUANTILE_CHUNK_BYTES // (8 * f_count))
     for start in range(0, draws, step):
