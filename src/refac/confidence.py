@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotic import (AsymptoticLaw, quantile_threshold, validate_contrast,
-                         validate_law_draws)
+from .asymptotic import AsymptoticLaw, quantile_threshold, validate_contrast, validate_law_draws
 from .balance import BalanceCriterion
 from .design import FactorialStructure, GroupSizes
 from .errors import ValidationError
