@@ -17,8 +17,8 @@ r_i = rank(coef_i) <= min(F, d_i).  This is the r-coordinate form of the
 scalar representation of Li, Ding & Rubin (2018, PNAS, "Asymptotic theory of
 rerandomization in treatment-control experiments").  A law draw costs F
 normals for the base, into which untruncated components fold, and r_i normals,
-a squared radius and one chi-square per truncated component.  A draw of its
-whitened quadratic form needs at most F' (contrast rows) normals per part.
+a squared radius and one chi-square per truncated component.  In a whitened
+quadratic form, a Gaussian part whitened to I costs one noncentral chi-square.
 
 A truncated vector is a radius times a uniform direction.  The first r
 coordinates of the direction are g / sqrt(||g||^2 + chi^2_{d-r}), with g an
@@ -54,7 +54,7 @@ PROPOSAL_CHUNK = 1 << 16
 LAW_ROW_CHUNK = 1 << 13
 
 #: bytes of one (rows, F') chunk of a quadratic-form sample, small enough to
-#: stay in cache: at F' = 127 the sample ran about 13% faster than at 8 MiB
+#: stay in cache: at F' = 127 it ran ~13% faster than 8 MiB (2-core Xeon)
 QUANTILE_CHUNK_BYTES = 256 << 10
 
 
