@@ -345,8 +345,9 @@ def test_quadratic_form_mean_is_the_trace(contrast, shaped):
 @pytest.mark.parametrize("untruncated", [False, True], ids=["base_only", "with_component"])
 def test_gaussian_law_whitened_by_its_covariance_is_chi_square(contrast, untruncated):
     # a Gaussian law standardized by its own covariance gives chi^2_F'
-    # quantiles; with an untruncated component the shape whitens base plus
-    # component, so the base leaves a part M - s I that must be drawn
+    # quantiles, whether the sampler draws its whitened Gaussian part M = I
+    # as one chi-square (four rows) or as normals (two rows), and whether an
+    # untruncated component is folded into it
     rng = stream(73, 14)
     a = rng.standard_normal((4, 4))
     components = (LawComponent(rng.standard_normal((4, 3)), 3, None),) if untruncated else ()
