@@ -619,3 +619,179 @@ def test_thresholds_to_stdout_and_validation(tmp_path, capsys):
     assert main(["thresholds", "--dims", "3", "--p", "1"]) == 2
     assert "got 1.0; use complete randomization instead of p = 1" in \
         capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# config validation and resolved configs
+
+
+def _grid(**overrides):
+    spec = {"type": "grid", "effect_tiers": [[1, 2], [3]],
+            "covariate_tiers": [[1], [2]], "p": [0.5, 0.8]}
+    spec.update(overrides)
+    return spec
+
+
+@pytest.mark.parametrize("criterion, message", [
+    ({"type": "mahalanobis", "p": 0.2},
+     "unknown criterion type 'mahalanobis'; expected one of 'complete', "
+     "'overall', 'effect-tiers', 'grid'"),
+    ({"type": "effect-tiers", "p": [0.2, 0.5]},
+     "effect-tiers criterion needs 'tiers'"),
+    ({"type": "grid", "covariate_tiers": [[1], [2]], "p": 0.2},
+     "grid criterion needs 'effect_tiers'"),
+    ({"type": "grid", "effect_tiers": [[1, 2, 3]], "p": 0.2},
+     "grid criterion needs 'covariate_tiers'"),
+    (_grid(cells="diagonal"),
+     'cells must be "triangular" or an explicit grouping'),
+    (_grid(cells=[[[1, 1]], 5]), "cells[2] must be a list of [t, h] pairs"),
+    (_grid(cells=[[[1, 1, 2]]]),
+     "cells[1]: each cell is a 1-based [covariate_tier, effect_tier] pair"),
+    (_grid(cells=[[[1, 1]], [[1, 3]]]),
+     "cells[2]: cell [1, 3] outside the 2 x 2 tier layout (1-based)"),
+], ids=["unknown-type", "no-tiers", "no-effect-tiers", "no-covariate-tiers",
+        "cells-not-a-list", "group-not-a-list", "malformed-pair",
+        "cell-outside-layout"])
+def test_design_rejects_malformed_criteria(tmp_path, capsys, criterion, message):
+    cov, _ = _covariate_csv(tmp_path / "cov.csv")
+    cfg = _design_config(tmp_path / "cfg.json", criterion=criterion)
+    code = main(["design", "--config", cfg, "--covariates", cov,
+                 "--out", str(tmp_path / "a.csv")])
+    assert code == 2
+    assert f"{cfg}: criterion: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "a.csv").exists()
+
+
+@pytest.mark.parametrize("column, message", [
+    ({"kind": "poisson", "rate": 2.0},
+     "columns[2]: unknown kind 'poisson'; expected normal, binary, or uniform"),
+    ({"kind": "binary"}, "columns[2]: binary column needs 'rate'"),
+], ids=["unknown-kind", "binary-without-rate"])
+def test_simulate_rejects_malformed_columns(tmp_path, capsys, column, message):
+    _, designs = _simulation_configs(tmp_path)
+    pop = _write_json(tmp_path / "bad_pop.json", {
+        "n": 80, "k": 2, "sizes": {"equal": 80},
+        "columns": [{"kind": "normal"}, column],
+        "outcome": {"intercepts": [0.0, 0.5, 1.0, 1.5], "slopes": [1.0, 0.5]}})
+    code = main(["simulate", "--population", pop, "--designs", designs,
+                 "--reps", "4", "--out-json", str(tmp_path / "o.json")])
+    assert code == 2
+    assert f"{pop}: {message}" in capsys.readouterr().err
+
+
+def _assert_tree_close(actual, expected, where="config"):
+    """Equal JSON trees, with floats compared to a relative 1e-12."""
+    if isinstance(expected, float):
+        assert type(actual) is float, where
+        assert actual == pytest.approx(expected, rel=1e-12, abs=0.0), where
+    elif isinstance(expected, dict):
+        assert isinstance(actual, dict) and list(actual) == list(expected), where
+        for key, value in expected.items():
+            _assert_tree_close(actual[key], value, f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert isinstance(actual, list) and len(actual) == len(expected), where
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            _assert_tree_close(a, e, f"{where}[{i}]")
+    else:
+        assert type(actual) is type(expected) and actual == expected, where
+
+
+_PINNED_DESIGNS = [
+    ({"type": "overall", "a": 3.5}, {"equal": 32},
+     {"type": "overall", "dims": [6], "a": [3.5], "p": [0.2560303046027818]},
+     [8, 8, 8, 8], 196),
+    ({"type": "effect-tiers", "tiers": [[1, 2], [3]], "p": [0.2, 0.6]},
+     {"equal": 32},
+     {"type": "effect-tiers", "tiers": [[1, 2], [3]], "dims": [4, 2],
+      "a": [1.648776618065969, 1.83258146374831], "p": [0.2, 0.6]},
+     [8, 8, 8, 8], 417),
+    (_grid(cells=[[[1, 1], [2, 1]], [[1, 2]], [[2, 2]]], a=[7.5, 3.0, 2.5],
+           p=None),
+     [6, 8, 8, 10],
+     {"type": "grid", "effect_tiers": [[1, 2], [3]],
+      "covariate_tiers": [[1], [2]],
+      "cells": [[[1, 1], [2, 1]], [[1, 2]], [[2, 2]]], "dims": [4, 1, 1],
+      "a": [7.5, 3.0, 2.5],
+      "p": [0.8882907071839568, 0.9167354833364496, 0.8861537019933423]},
+     [6, 8, 8, 10], 70),
+]
+
+
+@pytest.mark.parametrize("criterion, sizes, resolved, counts, budget",
+                         _PINNED_DESIGNS, ids=["overall-a", "effect-tiers-p",
+                                               "grid-cells"])
+def test_design_report_config_is_pinned(tmp_path, criterion, sizes, resolved,
+                                        counts, budget):
+    criterion = {k: v for k, v in criterion.items() if v is not None}
+    cov, _ = _covariate_csv(tmp_path / "cov.csv")
+    cfg = _design_config(tmp_path / "cfg.json", criterion=criterion, sizes=sizes)
+    rep = tmp_path / "report.json"
+    assert main(["design", "--config", cfg, "--covariates", cov,
+                 "--out", str(tmp_path / "a.csv"), "--report", str(rep)]) == 0
+    _assert_tree_close(json.loads(rep.read_text())["config"], {
+        "k": 2, "sizes": counts, "criterion": resolved, "seed": 5,
+        "max_draws": budget, "covariates": ["age", "score"], "n": 32})
+
+
+def test_analyze_report_config_is_pinned(tmp_path):
+    data, _, _, _ = _analysis_files(tmp_path)
+    cfg = _write_json(tmp_path / "tiers.json", {
+        "k": 2, "sizes": {"equal": 40}, "seed": 11, "alpha": 0.1, "draws": 2000,
+        "criterion": {"type": "effect-tiers", "tiers": [[1, 2], [3]],
+                      "p": [0.2, 0.6]}})
+    contrast = _write_json(tmp_path / "contrast.json", [[1, -1, 0]])
+    out = tmp_path / "analysis.json"
+    assert main(["analyze", "--config", cfg, "--data", data,
+                 "--contrast", contrast, "--out", str(out)]) == 0
+    _assert_tree_close(json.loads(out.read_text())["config"], {
+        "k": 2, "sizes": [10, 10, 10, 10],
+        "criterion": _PINNED_DESIGNS[1][2], "seed": 11, "alpha": 0.1,
+        "draws": 2000, "contrast": [[1.0, -1.0, 0.0]],
+        "covariates": ["age", "score"], "n": 40})
+
+
+def test_simulate_report_config_is_pinned(tmp_path):
+    columns = [{"kind": "normal", "mean": 1.0, "sd": 2.0},
+               {"kind": "binary", "rate": 0.3},
+               {"kind": "uniform", "low": -1.0, "high": 1.0}]
+    outcome = {"intercepts": [0.0, 0.5, 1.0, 1.5], "slopes": [1.0, 0.5, -0.5],
+               "noise_scales": 0.8, "additive": True}
+    pop = _write_json(tmp_path / "pop.json", {
+        "n": 80, "k": 2, "sizes": {"equal": 80}, "columns": columns,
+        "outcome": outcome})
+    designs = _write_json(tmp_path / "designs.json", {
+        "designs": [{"name": "balanced",
+                     "criterion": {"type": "overall", "p": 0.3}}],
+        "seed": 3, "coverage": True, "alpha": 0.1, "draws": 2000,
+        "theory_draws": 2000})
+    out = tmp_path / "full.json"
+    assert main(["simulate", "--population", pop, "--designs", designs,
+                 "--reps", "4", "--out-json", str(out)]) == 0
+    _assert_tree_close(json.loads(out.read_text())["config"], {
+        "population": {
+            "n": 80, "k": 2, "sizes": [20, 20, 20, 20], "columns": columns,
+            "correlation": None,
+            "outcome": {**outcome, "clamp": None}},
+        "designs": [{"name": "balanced", "criterion": {
+            "type": "overall", "dims": [9], "a": [6.393305964475309],
+            "p": [0.3]}}],
+        "reps": 4, "seed": 3, "coverage": True, "alpha": 0.1, "draws": 2000,
+        "theory_draws": 2000, "max_draws": None, "workers": 1})
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["--dims", "6,2,1", "--p", "0.1,0.5,0.9"],
+     [[1, 6, 2.2041306564986427, 0.1, 0.25894596377445345],
+      [2, 2, 1.386294361119891, 0.5, 0.30685281944005488],
+      [3, 1, 2.705543454095404, 0.9, 0.62301548413468266]]),
+    (["--dims", "4,1", "--a", "2.5,0.75"],
+     [[1, 4, 2.5, 0.35536420706457217, 0.37013388490655852],
+      [2, 1, 0.75, 0.6135237692287675, 0.22593243578762198]]),
+], ids=["p", "a"])
+def test_thresholds_csv_is_pinned(tmp_path, argv, rows):
+    out = tmp_path / "thr.csv"
+    assert main(["thresholds", *argv, "--out", str(out)]) == 0
+    table = _read_csv(out)
+    assert table[0] == ["tier", "dim", "cutoff", "probability", "variance_factor"]
+    _assert_tree_close([[int(r[0]), int(r[1])] + [float(v) for v in r[2:]]
+                        for r in table[1:]], rows)
