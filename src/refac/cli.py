@@ -53,6 +53,12 @@ EXIT_NUMERICAL = 4
 
 _RESERVED_COLUMNS = ("unit", "outcome", "assignment")
 _BUILTIN_POPULATIONS = ("education-like",)
+#: covariate column kinds: parameter -> default, None where it is required
+_COLUMN_PARAMS = {
+    "normal": {"mean": 0.0, "sd": 1.0},
+    "binary": {"rate": None},
+    "uniform": {"low": 0.0, "high": 1.0},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -66,10 +72,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _open_out(path: str | None):
+def _open_out(path: str | None, binary: bool = False):
+    """``path`` opened for writing; None or "-" is standard output."""
     if path is None or path == "-":
-        return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8", newline="")
+        sys.stdout.flush()  # text already written to stdout comes first
+        return contextlib.nullcontext(sys.stdout.buffer if binary else sys.stdout)
+    return open(path, "wb") if binary else open(path, "w", encoding="utf-8", newline="")
 
 
 def _write_csv(path: str | None, header, rows) -> None:
@@ -82,13 +90,12 @@ def _write_csv(path: str | None, header, rows) -> None:
 
 def _write_json(path: str | None, payload: dict) -> None:
     """One line of strict JSON (RFC 8259) in UTF-8; NaN and infinities become null."""
-    line = orjson.dumps(payload, option=orjson.OPT_SERIALIZE_NUMPY) + b"\n"
-    if path is None or path == "-":
-        sys.stdout.flush()  # text already written to stdout comes first
-        sys.stdout.buffer.write(line)
-    else:
-        with open(path, "wb") as fh:
-            fh.write(line)
+    with _open_out(path, binary=True) as fh:
+        fh.write(orjson.dumps(payload, option=orjson.OPT_SERIALIZE_NUMPY) + b"\n")
+
+
+def _write_report(path: str | None, command: str, **body) -> None:
+    _write_json(path, {"schema_version": SCHEMA_VERSION, "command": command, **body})
 
 
 def _load_json(path: str):
@@ -201,11 +208,14 @@ def _assignment_from_labels(labels: np.ndarray, sizes: GroupSizes,
 # config parsing
 
 
-def _check_keys(spec: dict, allowed, context: str) -> None:
+def _check_keys(spec: dict, allowed, context: str, required=()) -> None:
     unknown = sorted(set(spec) - set(allowed))
     if unknown:
         raise ValidationError(f"{context}: unknown keys {unknown}; allowed: "
                               f"{sorted(allowed)}")
+    for key in required:
+        if key not in spec:
+            raise ValidationError(f"{context}: missing required key {key!r}")
 
 
 def _as_int(value, label: str) -> int:
@@ -221,11 +231,9 @@ def _as_number(value, label: str) -> float:
 
 
 def _number_list(value, label: str) -> list[float]:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return [float(value)]
     if isinstance(value, list):
         return [_as_number(v, f"{label}[{i + 1}]") for i, v in enumerate(value)]
-    raise ValidationError(f"{label} must be a number or a list of numbers")
+    return [_as_number(value, label)]
 
 
 def _parse_sizes(value, q_count: int, context: str) -> GroupSizes:
@@ -244,8 +252,12 @@ def _parse_sizes(value, q_count: int, context: str) -> GroupSizes:
         f'{{"equal": total}}')
 
 
-def _parse_tiers(value, count: int, label: str) -> tuple[tuple[int, ...], ...]:
-    """1-based index lists from JSON -> 0-based tier tuples."""
+def _tier_partition(cls, spec: dict, key: str | None, count: int, context: str):
+    """The 1-based index lists under ``key`` -> a validated 0-based tier
+    partition; without a key, all ``count`` indices in one tier."""
+    if key is None:
+        return cls((range(count),))
+    label, value = f"{context}: {key}", spec[key]
     if not isinstance(value, list) or not all(isinstance(t, list) for t in value):
         raise ValidationError(f"{label} must be a list of index lists")
     tiers = []
@@ -259,124 +271,119 @@ def _parse_tiers(value, count: int, label: str) -> tuple[tuple[int, ...], ...]:
                     f"(indices are 1-based)")
             cleaned.append(i - 1)
         tiers.append(tuple(cleaned))
-    return tuple(tiers)
+    partition = cls(tuple(tiers))
+    partition.validate(count)
+    return partition
 
 
-def _resolve_cutoffs(spec: dict, dims, context: str) -> tuple[list[float], list[float]]:
-    """Exactly one of 'a' (cutoffs) / 'p' (acceptance probabilities) -> both."""
-    a_spec, p_spec = spec.get("a"), spec.get("p")
-    if (a_spec is None) == (p_spec is None):
+def _parse_cells(value, t_count: int, h_count: int, context: str) -> TierGrid:
+    """A grid's "cells": "triangular" or groups of 1-based [t, h] pairs."""
+    if value == "triangular":
+        return TierGrid.triangular(t_count, h_count)
+    if not isinstance(value, list):
         raise ValidationError(
-            f"{context}: supply exactly one of 'a' (cutoff values) or 'p' "
-            f"(per-tier acceptance probabilities)")
-    dims = [int(d) for d in dims]
-    if p_spec is not None:
-        probs = _number_list(p_spec, f"{context}: p")
-        if len(probs) != len(dims):
-            raise ValidationError(
-                f"{context}: got {len(probs)} probabilities for {len(dims)} "
-                f"statistics")
-        cutoffs = [float(v) for v in thresholds_from_probability(dims, probs)]
-        return cutoffs, probs
-    cutoffs = _number_list(a_spec, f"{context}: a")
-    if len(cutoffs) != len(dims):
+            f'{context}: cells must be "triangular" or an explicit grouping')
+    groups = []
+    for j, group in enumerate(value):
+        where = f"{context}: cells[{j + 1}]"
+        if not isinstance(group, list):
+            raise ValidationError(f"{where} must be a list of [t, h] pairs")
+        pairs = []
+        for pair in group:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ValidationError(
+                    f"{where}: each cell is a 1-based [covariate_tier, effect_tier] pair")
+            t, h = (_as_int(v, where) for v in pair)
+            if not (1 <= t <= t_count and 1 <= h <= h_count):
+                raise ValidationError(
+                    f"{where}: cell [{t}, {h}] outside the {t_count} x {h_count} "
+                    f"tier layout (1-based)")
+            pairs.append((t - 1, h - 1))
+        groups.append(tuple(pairs))
+    grid = TierGrid(cells=tuple(groups))
+    grid.validate(t_count, h_count)
+    return grid
+
+
+def _resolve_cutoffs(cutoffs, probs, dims, parse, where: str = "",
+                     names=("a", "p")) -> tuple[list[float], list[float]]:
+    """Exactly one of cutoffs / acceptance probabilities, one per dimension -> both;
+    ``parse(value, label)`` reads the one given into floats."""
+    if (cutoffs is None) == (probs is None):
         raise ValidationError(
-            f"{context}: got {len(cutoffs)} cutoffs for {len(dims)} statistics")
-    probs = [chi2_cdf(a, d) for a, d in zip(cutoffs, dims)]
-    return cutoffs, probs
+            f"{where}supply exactly one of {names[0]!r} (cutoff values) or "
+            f"{names[1]!r} (per-tier acceptance probabilities)")
+    name, given = (names[1], probs) if cutoffs is None else (names[0], cutoffs)
+    values = parse(given, f"{where}{name}")
+    if len(values) != len(dims):
+        raise ValidationError(
+            f"{where}{name} lists {len(values)} values for {len(dims)} dimensions")
+    if cutoffs is None:
+        return [float(v) for v in thresholds_from_probability(dims, values)], values
+    for a in values:
+        if not (math.isfinite(a) and a > 0.0):
+            raise ValidationError(f"{where}cutoffs must be positive and finite, got {a}")
+    return values, [chi2_cdf(a, d) for a, d in zip(values, dims)]
+
+
+#: per criterion type: its effect-tier and covariate-tier keys (None takes
+#: all effects or all covariates as one tier), then its other allowed keys
+_CRITERION_KEYS = {
+    "complete": (None, None, ()),
+    "overall": (None, None, ("a", "p")),
+    "effect-tiers": ("tiers", None, ("a", "p")),
+    "grid": ("effect_tiers", "covariate_tiers", ("cells", "a", "p")),
+}
 
 
 def parse_criterion(spec, structure: FactorialStructure, covariate_count: int,
                     context: str) -> tuple[BalanceCriterion, dict]:
-    """Criterion object plus its resolved config (both cutoffs and probabilities)."""
+    """Criterion object plus its resolved config (both cutoffs and probabilities):
+    every thresholded type is a grid of cells over effect and covariate tiers."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValidationError(f'{context}: criterion must be an object with a "type"')
     ctype = spec["type"]
-    f_count, l_count = structure.f_count, covariate_count
-
+    if not isinstance(ctype, str) or ctype not in _CRITERION_KEYS:
+        raise ValidationError(
+            f"{context}: unknown criterion type {ctype!r}; expected one of "
+            f"'complete', 'overall', 'effect-tiers', 'grid'")
+    effect_key, covariate_key, others = _CRITERION_KEYS[ctype]
+    tier_keys = [key for key in (effect_key, covariate_key) if key is not None]
+    _check_keys(spec, {"type", *tier_keys, *others}, context)
     if ctype == "complete":
-        _check_keys(spec, {"type"}, context)
         return CompleteRandomization(), {"type": "complete"}
+    for key in tier_keys:
+        if key not in spec:
+            raise ValidationError(f"{context}: {ctype} criterion needs {key!r}")
 
-    if ctype == "overall":
-        _check_keys(spec, {"type", "a", "p"}, context)
-        dims = [f_count * l_count]
-        a, p = _resolve_cutoffs(spec, dims, context)
-        return MahalanobisCriterion(a[0]), {
-            "type": "overall", "dims": dims, "a": a, "p": p}
-
-    if ctype == "effect-tiers":
-        _check_keys(spec, {"type", "tiers", "a", "p"}, context)
-        if "tiers" not in spec:
-            raise ValidationError(f"{context}: effect-tiers criterion needs 'tiers'")
-        partition = EffectTierPartition(
-            _parse_tiers(spec["tiers"], f_count, f"{context}: tiers"))
-        partition.validate(f_count)
-        dims = [l_count * s for s in partition.sizes()]
-        a, p = _resolve_cutoffs(spec, dims, context)
-        return EffectTierCriterion(partition, tuple(a)), {
-            "type": "effect-tiers", "tiers": spec["tiers"], "dims": dims,
-            "a": a, "p": p}
-
+    effects = _tier_partition(EffectTierPartition, spec, effect_key,
+                              structure.f_count, context)
+    covariates = _tier_partition(CovariateTierPartition, spec, covariate_key,
+                                 covariate_count, context)
     if ctype == "grid":
-        _check_keys(spec, {"type", "effect_tiers", "covariate_tiers", "cells",
-                           "a", "p"}, context)
-        for key in ("effect_tiers", "covariate_tiers"):
-            if key not in spec:
-                raise ValidationError(f"{context}: grid criterion needs {key!r}")
-        eff = EffectTierPartition(
-            _parse_tiers(spec["effect_tiers"], f_count, f"{context}: effect_tiers"))
-        eff.validate(f_count)
-        cov = CovariateTierPartition(
-            _parse_tiers(spec["covariate_tiers"], l_count,
-                         f"{context}: covariate_tiers"))
-        cov.validate(l_count)
-        cells_spec = spec.get("cells", "triangular")
-        if cells_spec == "triangular":
-            grid = TierGrid.triangular(len(cov), len(eff))
-        elif isinstance(cells_spec, list):
-            groups = []
-            for j, group in enumerate(cells_spec):
-                if not isinstance(group, list):
-                    raise ValidationError(
-                        f"{context}: cells[{j + 1}] must be a list of [t, h] pairs")
-                pairs = []
-                for pair in group:
-                    if (not isinstance(pair, list) or len(pair) != 2):
-                        raise ValidationError(
-                            f"{context}: cells[{j + 1}]: each cell is a "
-                            f"1-based [covariate_tier, effect_tier] pair")
-                    t = _as_int(pair[0], f"{context}: cells[{j + 1}]")
-                    h = _as_int(pair[1], f"{context}: cells[{j + 1}]")
-                    if not (1 <= t <= len(cov) and 1 <= h <= len(eff)):
-                        raise ValidationError(
-                            f"{context}: cells[{j + 1}]: cell [{t}, {h}] outside "
-                            f"the {len(cov)} x {len(eff)} tier layout (1-based)")
-                    pairs.append((t - 1, h - 1))
-                groups.append(tuple(pairs))
-            grid = TierGrid(cells=tuple(groups))
-            grid.validate(len(cov), len(eff))
-        else:
-            raise ValidationError(
-                f'{context}: cells must be "triangular" or an explicit grouping')
-        dims = [int(d) for d in grid.dims(cov, eff)]
-        a, p = _resolve_cutoffs(spec, dims, context)
-        criterion = GridTierCriterion(eff, cov, grid, tuple(a))
-        resolved_cells = [[[t + 1, h + 1] for (t, h) in cell] for cell in grid.cells]
-        return criterion, {
-            "type": "grid", "effect_tiers": spec["effect_tiers"],
-            "covariate_tiers": spec["covariate_tiers"], "cells": resolved_cells,
-            "dims": dims, "a": a, "p": p}
+        grid = _parse_cells(spec.get("cells", "triangular"), len(covariates),
+                            len(effects), context)
+    else:  # one group per effect tier
+        grid = TierGrid(cells=tuple(((0, h),) for h in range(len(effects))))
+    dims = [int(d) for d in grid.dims(covariates, effects)]
+    a, p = _resolve_cutoffs(spec.get("a"), spec.get("p"), dims, _number_list,
+                            f"{context}: ")
 
-    raise ValidationError(
-        f"{context}: unknown criterion type {ctype!r}; expected one of "
-        f"'complete', 'overall', 'effect-tiers', 'grid'")
+    resolved = {"type": ctype, **{key: spec[key] for key in tier_keys}}
+    if ctype == "grid":
+        criterion = GridTierCriterion(effects, covariates, grid, tuple(a))
+        resolved["cells"] = [[[t + 1, h + 1] for (t, h) in cell] for cell in grid.cells]
+    elif ctype == "effect-tiers":
+        criterion = EffectTierCriterion(effects, tuple(a))
+    else:
+        criterion = MahalanobisCriterion(a[0])
+    return criterion, {**resolved, "dims": dims, "a": a, "p": p}
 
 
-def _resolve_seed(flag_value, config: dict | None, *, context: str) -> int:
+def _resolve_seed(flag_value, config: dict, *, context: str) -> int:
     if flag_value is not None:
         seed = flag_value
-    elif config is not None and "seed" in config:
+    elif "seed" in config:
         seed = _as_int(config["seed"], f"{context}: seed")
     else:
         env = os.environ.get("REFAC_SEED")
@@ -394,18 +401,79 @@ def _resolve_seed(flag_value, config: dict | None, *, context: str) -> int:
     return seed
 
 
-def _design_context(config: dict, covariate_count: int, context: str):
-    """(structure, sizes, criterion, resolved criterion) from a design config."""
-    _check_keys(config, {"k", "sizes", "criterion", "seed", "max_draws",
-                         "alpha", "draws"}, context)
-    for key in ("k", "sizes", "criterion"):
-        if key not in config:
-            raise ValidationError(f"{context}: missing required key {key!r}")
-    structure = build_structure(_as_int(config["k"], f"{context}: k"))
-    sizes = _parse_sizes(config["sizes"], structure.q_count, context)
+#: settings that a flag, the config or a default gives, per command and in
+#: report order: key (also the flag's dest) -> (default, check of a config value)
+_DESIGN_SETTINGS = {"max_draws": (None, _as_int)}
+_ANALYZE_SETTINGS = {"alpha": (0.05, _as_number), "draws": (DEFAULT_LAW_DRAWS, _as_int)}
+_SIMULATE_SETTINGS = {
+    "coverage": (False, lambda value, label: bool(value)),
+    "alpha": (0.05, _as_number),
+    "draws": (20_000, _as_int),
+    "theory_draws": (200_000, _as_int),
+    "max_draws": (None, _as_int),
+    "workers": (1, _as_int),
+}
+
+
+def _settings(args, config: dict, table: dict, context: str) -> dict:
+    """Each setting of ``table`` from its flag, else the config, else its default."""
+    settings = {}
+    for key, (default, check) in table.items():
+        value = getattr(args, key, None)
+        if value is None:
+            value = check(config[key], f"{context}: {key}") if key in config else default
+        settings[key] = value
+    return settings
+
+
+@dataclass
+class _DesignInputs:
+    """What design and analyze read alike."""
+
+    data: DataFile
+    structure: FactorialStructure
+    sizes: GroupSizes
+    criterion: BalanceCriterion
+    resolved_criterion: dict
+    seed: int
+    settings: dict
+    assignment: Assignment | None
+
+    def echo(self, **resolved) -> dict:
+        """The report's config; ``resolved`` replaces or follows the settings."""
+        return {"k": self.structure.k, "sizes": list(self.sizes.counts),
+                "criterion": self.resolved_criterion, "seed": self.seed,
+                **self.settings, **resolved, "covariates": self.data.covariate_names,
+                "n": self.sizes.n}
+
+
+def _design_inputs(args, data_path: str, analyze: bool) -> _DesignInputs:
+    """Read the design config, data file and settings; analyze also needs the
+    outcome and assignment columns, and checks the labels against the sizes."""
+    config = _load_json(args.config)
+    data = read_data_file(data_path)
+    if analyze:
+        for name, column in (("outcome", data.outcome),
+                             ("assignment", data.assignment_labels)):
+            if column is None:
+                raise ValidationError(f"{data_path}: missing {name!r} column")
+    _check_keys(config, {"k", "sizes", "criterion", "seed", *_DESIGN_SETTINGS,
+                         *_ANALYZE_SETTINGS}, args.config, required=("k", "sizes", "criterion"))
+    structure = build_structure(_as_int(config["k"], f"{args.config}: k"))
+    sizes = _parse_sizes(config["sizes"], structure.q_count, args.config)
     criterion, resolved = parse_criterion(config["criterion"], structure,
-                                          covariate_count, f"{context}: criterion")
-    return structure, sizes, criterion, resolved
+                                          data.x.shape[1], f"{args.config}: criterion")
+    if sizes.n != len(data.units):
+        raise ValidationError(
+            f"{data_path} has {len(data.units)} units but the group sizes sum "
+            f"to {sizes.n}")
+    assignment = (_assignment_from_labels(data.assignment_labels, sizes, data_path)
+                  if analyze else None)
+    seed = _resolve_seed(args.seed, config, context=args.config)
+    settings = _settings(args, config, _ANALYZE_SETTINGS if analyze else _DESIGN_SETTINGS,
+                         args.config)
+    return _DesignInputs(data, structure, sizes, criterion, resolved, seed,
+                         settings, assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -413,70 +481,31 @@ def _design_context(config: dict, covariate_count: int, context: str):
 
 
 def cmd_design(args) -> None:
-    config = _load_json(args.config)
-    data = read_data_file(args.covariates)
-    structure, sizes, criterion, resolved_crit = _design_context(
-        config, data.x.shape[1], args.config)
-    if sizes.n != len(data.units):
-        raise ValidationError(
-            f"{args.covariates} has {len(data.units)} units but the group "
-            f"sizes sum to {sizes.n}")
-    seed = _resolve_seed(args.seed, config, context=args.config)
-    max_draws = args.max_draws
-    if max_draws is None and "max_draws" in config:
-        max_draws = _as_int(config["max_draws"], f"{args.config}: max_draws")
-
-    engine = CriterionEngine(data.x, structure, sizes, criterion)
-    budget = max_draws if max_draws is not None else \
-        default_max_draws(engine.acceptance_probability)
-    outcome = rerandomize(data.x, structure, sizes, criterion, stream(seed),
-                          max_draws=budget, engine=engine)
+    inputs = _design_inputs(args, args.covariates, analyze=False)
+    data, budget = inputs.data, inputs.settings["max_draws"]
+    engine = CriterionEngine(data.x, inputs.structure, inputs.sizes, inputs.criterion)
+    if budget is None:
+        budget = default_max_draws(engine.acceptance_probability)
+    outcome = rerandomize(data.x, inputs.structure, inputs.sizes, inputs.criterion,
+                          stream(inputs.seed), max_draws=budget, engine=engine)
 
     _write_csv(args.out, ["unit", "assignment"],
                zip(data.units, outcome.assignment.labels().tolist()))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "design",
-        "config": {
-            "k": structure.k,
-            "sizes": list(sizes.counts),
-            "criterion": resolved_crit,
-            "seed": seed,
-            "max_draws": budget,
-            "covariates": data.covariate_names,
-            "n": sizes.n,
-        },
-        "acceptance_probability": engine.acceptance_probability,
-        "draws_attempted": outcome.draws_attempted,
-        "balance": {
+    _write_report(
+        args.report, "design",
+        config=inputs.echo(max_draws=budget),
+        acceptance_probability=engine.acceptance_probability,
+        draws_attempted=outcome.draws_attempted,
+        balance={
             "passed": outcome.report.passed,
             "values": outcome.report.values,
             "limits": outcome.report.limits,
-        },
-    }
-    _write_json(args.report, payload)
+        })
 
 
 def cmd_analyze(args) -> None:
-    config = _load_json(args.config)
-    data = read_data_file(args.data)
-    if data.outcome is None:
-        raise ValidationError(f"{args.data}: missing 'outcome' column")
-    if data.assignment_labels is None:
-        raise ValidationError(f"{args.data}: missing 'assignment' column")
-    structure, sizes, criterion, resolved_crit = _design_context(
-        config, data.x.shape[1], args.config)
-    if sizes.n != len(data.units):
-        raise ValidationError(
-            f"{args.data} has {len(data.units)} units but the group sizes "
-            f"sum to {sizes.n}")
-    assignment = _assignment_from_labels(data.assignment_labels, sizes, args.data)
-    seed = _resolve_seed(args.seed, config, context=args.config)
-    alpha = args.alpha if args.alpha is not None else \
-        _as_number(config.get("alpha", 0.05), f"{args.config}: alpha")
-    draws = args.draws if args.draws is not None else \
-        _as_int(config.get("draws", DEFAULT_LAW_DRAWS), f"{args.config}: draws")
-
+    inputs = _design_inputs(args, args.data, analyze=True)
+    contrast, contrast_resolved = None, "identity"
     if args.contrast is not None:
         spec = _load_json(args.contrast)
         rows = spec.get("rows") if isinstance(spec, dict) else spec
@@ -485,43 +514,29 @@ def cmd_analyze(args) -> None:
                 f'{args.contrast}: expected a list of rows or {{"rows": [...]}}')
         contrast = np.asarray(rows, dtype=float)
         contrast_resolved = [list(map(float, row)) for row in np.atleast_2d(contrast)]
-    else:
-        contrast = None
-        contrast_resolved = "identity"
 
-    tau_hat = effect_estimates(data.outcome, assignment, structure)
-    cs = confidence_set(data.outcome, data.x, assignment, structure, sizes,
-                        criterion, contrast=contrast, alpha=alpha,
-                        rng=stream(seed), draws=draws)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "analyze",
-        "config": {
-            "k": structure.k,
-            "sizes": list(sizes.counts),
-            "criterion": resolved_crit,
-            "seed": seed,
-            "alpha": alpha,
-            "draws": draws,
-            "contrast": contrast_resolved,
-            "covariates": data.covariate_names,
-            "n": sizes.n,
-        },
-        "effects": {
+    data, structure = inputs.data, inputs.structure
+    tau_hat = effect_estimates(data.outcome, inputs.assignment, structure)
+    cs = confidence_set(data.outcome, data.x, inputs.assignment, structure,
+                        inputs.sizes, inputs.criterion, contrast=contrast,
+                        alpha=inputs.settings["alpha"], rng=stream(inputs.seed),
+                        draws=inputs.settings["draws"])
+    _write_report(
+        args.out, "analyze",
+        config=inputs.echo(contrast=contrast_resolved),
+        effects={
             "names": list(structure.effect_names()),
             "estimates": tau_hat.tolist(),
         },
-        "covariance_estimate": cs.law.covariance().tolist(),
-        "confidence_set": {
+        covariance_estimate=cs.law.covariance().tolist(),
+        confidence_set={
             "alpha": cs.alpha,
             "draws": cs.draws,
             "center": cs.center.tolist(),
             "shape": cs.shape.tolist(),
             "threshold": cs.threshold,
             "intervals": cs.axis_intervals().tolist(),
-        },
-    }
-    _write_json(args.out, payload)
+        })
 
 
 def cmd_simulate(args) -> None:
@@ -530,17 +545,10 @@ def cmd_simulate(args) -> None:
     spec, sizes, resolved_pop = _parse_population(pop_cfg, args.population)
     structure = build_structure(spec.k)
 
-    if isinstance(designs_cfg, list):
-        entries, extras = designs_cfg, {}
-    elif isinstance(designs_cfg, dict):
-        _check_keys(designs_cfg, {"designs", "seed", "coverage", "alpha",
-                                  "draws", "theory_draws", "max_draws",
-                                  "workers"}, args.designs)
-        if "designs" not in designs_cfg:
-            raise ValidationError(f"{args.designs}: missing 'designs' list")
-        entries, extras = designs_cfg["designs"], designs_cfg
-    else:
-        raise ValidationError(f"{args.designs}: expected a list or an object")
+    extras = designs_cfg if isinstance(designs_cfg, dict) else {"designs": designs_cfg}
+    _check_keys(extras, {"designs", "seed", *_SIMULATE_SETTINGS}, args.designs,
+                required=("designs",))
+    entries = extras["designs"]
     if not isinstance(entries, list) or not entries:
         raise ValidationError(f"{args.designs}: 'designs' must be a nonempty list")
 
@@ -556,49 +564,25 @@ def cmd_simulate(args) -> None:
         resolved_designs.append({"name": name, "criterion": resolved})
 
     seed = _resolve_seed(args.seed, extras, context=args.designs)
-    coverage = args.coverage if args.coverage is not None else \
-        bool(extras.get("coverage", False))
-    alpha = args.alpha if args.alpha is not None else \
-        _as_number(extras.get("alpha", 0.05), f"{args.designs}: alpha")
-    law_draws = args.draws if args.draws is not None else \
-        _as_int(extras.get("draws", 20_000), f"{args.designs}: draws")
-    theory_draws = _as_int(extras.get("theory_draws", 200_000),
-                           f"{args.designs}: theory_draws")
-    max_draws = args.max_draws
-    if max_draws is None and "max_draws" in extras:
-        max_draws = _as_int(extras["max_draws"], f"{args.designs}: max_draws")
-    workers = args.workers if args.workers is not None else \
-        _as_int(extras.get("workers", 1), f"{args.designs}: workers")
+    settings = _settings(args, extras, _SIMULATE_SETTINGS, args.designs)
 
     population = generate_population(spec, stream(seed, 2))
     report = replicate(population, structure, sizes, designs, reps=args.reps,
-                       seed=seed, coverage=coverage, alpha=alpha,
-                       law_draws=law_draws, theory_draws=theory_draws,
-                       max_draws=max_draws, workers=workers)
+                       seed=seed, coverage=settings["coverage"],
+                       alpha=settings["alpha"], law_draws=settings["draws"],
+                       theory_draws=settings["theory_draws"],
+                       max_draws=settings["max_draws"], workers=settings["workers"])
 
     rows = report_rows(report)
     if args.out_csv is not None:
         _write_csv(args.out_csv, list(rows[0].keys()),
                    [list(r.values()) for r in rows])
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "simulate",
-        "config": {
-            "population": resolved_pop,
-            "designs": resolved_designs,
-            "reps": args.reps,
-            "seed": seed,
-            "coverage": coverage,
-            "alpha": alpha,
-            "draws": law_draws,
-            "theory_draws": theory_draws,
-            "max_draws": max_draws,
-            "workers": workers,
-        },
-        "report": report_to_dict(report),
-        "timing_seconds": report.timing_seconds,
-    }
-    _write_json(args.out_json, payload)
+    _write_report(
+        args.out_json, "simulate",
+        config={"population": resolved_pop, "designs": resolved_designs,
+                "reps": args.reps, "seed": seed, **settings},
+        report=report_to_dict(report),
+        timing_seconds=report.timing_seconds)
 
 
 def _parse_population(cfg, path: str) -> tuple[PopulationSpec, GroupSizes, dict]:
@@ -613,15 +597,11 @@ def _parse_population(cfg, path: str) -> tuple[PopulationSpec, GroupSizes, dict]
                 f"{list(_BUILTIN_POPULATIONS)}")
         spec, sizes = education_like()
         resolved = {"builtin": name, "n": spec.n, "k": spec.k,
-                    "sizes": list(sizes.counts),
-                    "covariates": spec.covariate_count}
+                    "sizes": list(sizes.counts), "covariates": spec.covariate_count}
         return spec, sizes, resolved
 
     _check_keys(cfg, {"n", "k", "sizes", "columns", "correlation", "outcome"},
-                path)
-    for key in ("n", "k", "sizes", "columns", "outcome"):
-        if key not in cfg:
-            raise ValidationError(f"{path}: missing required key {key!r}")
+                path, required=("n", "k", "sizes", "columns", "outcome"))
     n = _as_int(cfg["n"], f"{path}: n")
     k = _as_int(cfg["k"], f"{path}: k")
     sizes = _parse_sizes(cfg["sizes"], 2 ** k, path)
@@ -637,39 +617,26 @@ def _parse_population(cfg, path: str) -> tuple[PopulationSpec, GroupSizes, dict]
         if not isinstance(c, dict) or "kind" not in c:
             raise ValidationError(f'{context}: needs a "kind"')
         kind = c["kind"]
-        if kind == "normal":
-            _check_keys(c, {"kind", "mean", "sd"}, context)
-            columns.append(CovariateColumn(
-                "normal", _as_number(c.get("mean", 0.0), f"{context}: mean"),
-                _as_number(c.get("sd", 1.0), f"{context}: sd")))
-        elif kind == "binary":
-            _check_keys(c, {"kind", "rate"}, context)
-            if "rate" not in c:
-                raise ValidationError(f"{context}: binary column needs 'rate'")
-            columns.append(CovariateColumn(
-                "binary", _as_number(c["rate"], f"{context}: rate")))
-        elif kind == "uniform":
-            _check_keys(c, {"kind", "low", "high"}, context)
-            columns.append(CovariateColumn(
-                "uniform", _as_number(c.get("low", 0.0), f"{context}: low"),
-                _as_number(c.get("high", 1.0), f"{context}: high")))
-        else:
+        if not isinstance(kind, str) or kind not in _COLUMN_PARAMS:
             raise ValidationError(
                 f"{context}: unknown kind {kind!r}; expected normal, binary, "
                 f"or uniform")
+        _check_keys(c, {"kind", *_COLUMN_PARAMS[kind]}, context)
+        values = []
+        for name, default in _COLUMN_PARAMS[kind].items():
+            if default is None and name not in c:
+                raise ValidationError(f"{context}: {kind} column needs {name!r}")
+            values.append(_as_number(c.get(name, default), f"{context}: {name}"))
+        columns.append(CovariateColumn(kind, *values))
 
-    correlation = None
-    if cfg.get("correlation") is not None:
-        correlation = np.asarray(cfg["correlation"], dtype=float)
+    correlation = (None if cfg.get("correlation") is None
+                   else np.asarray(cfg["correlation"], dtype=float))
 
     oc = cfg["outcome"]
     if not isinstance(oc, dict):
         raise ValidationError(f"{path}: outcome must be an object")
-    _check_keys(oc, {"intercepts", "slopes", "noise_scales", "additive",
-                     "clamp"}, f"{path}: outcome")
-    for key in ("intercepts", "slopes"):
-        if key not in oc:
-            raise ValidationError(f"{path}: outcome needs {key!r}")
+    _check_keys(oc, {"intercepts", "slopes", "noise_scales", "additive", "clamp"},
+                f"{path}: outcome", required=("intercepts", "slopes"))
     noise = oc.get("noise_scales", 1.0)
     recipe = OutcomeRecipe(
         intercepts=tuple(_number_list(oc["intercepts"], f"{path}: intercepts")),
@@ -709,26 +676,11 @@ def cmd_thresholds(args) -> None:
     dims = _parse_count_list(args.dims, "--dims", int)
     if not dims or any(d < 1 for d in dims):
         raise ValidationError(f"--dims needs positive dimensions, got {args.dims!r}")
-    if (args.p is None) == (args.a is None):
-        raise ValidationError("supply exactly one of --p or --a")
-    if args.p is not None:
-        probs = _parse_count_list(args.p, "--p", float)
-        if len(probs) != len(dims):
-            raise ValidationError(
-                f"--p lists {len(probs)} values for {len(dims)} dimensions")
-        cutoffs = [float(v) for v in thresholds_from_probability(dims, probs)]
-    else:
-        cutoffs = _parse_count_list(args.a, "--a", float)
-        if len(cutoffs) != len(dims):
-            raise ValidationError(
-                f"--a lists {len(cutoffs)} values for {len(dims)} dimensions")
-        for a in cutoffs:
-            if not (math.isfinite(a) and a > 0.0):
-                raise ValidationError(f"cutoffs must be positive and finite, got {a}")
-        probs = [chi2_cdf(a, d) for a, d in zip(cutoffs, dims)]
-    factors = [truncation_variance_factor(d, a) for d, a in zip(dims, cutoffs)]
-    rows = [(i + 1, dims[i], cutoffs[i], probs[i], factors[i])
-            for i in range(len(dims))]
+    cutoffs, probs = _resolve_cutoffs(
+        args.a, args.p, dims, lambda text, label: _parse_count_list(text, label, float),
+        names=("--a", "--p"))
+    rows = [(i + 1, d, a, p, truncation_variance_factor(d, a))
+            for i, (d, a, p) in enumerate(zip(dims, cutoffs, probs))]
     _write_csv(args.out, ["tier", "dim", "cutoff", "probability",
                           "variance_factor"], rows)
 
