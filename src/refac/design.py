@@ -248,19 +248,12 @@ class TieredCoefficients:
 
     Rows of ``coeffs`` are grouped tier by tier (``block_slices`` gives the
     row range of each tier); column q is the orthogonalized coefficient
-    vector of combination q.  ``transform`` maps back to the original
-    contrasts: ``structure.contrasts[order] == transform_in_tier_order``;
-    concretely ``contrasts[:, q] = transform @ coeffs[:, q]`` for every q.
-    ``gram`` is the inverse-size-weighted Gram matrix of the orthogonalized
-    columns and is block diagonal by construction; ``gram_blocks`` holds
-    its diagonal blocks with the numerical off-block dust discarded.
+    vector of combination q.  The inverse-size-weighted Gram matrix of the
+    orthogonalized columns is block diagonal by construction;
+    ``gram_blocks`` holds its diagonal blocks.
     """
 
-    partition: EffectTierPartition
-    order: tuple[int, ...]
     coeffs: np.ndarray
-    transform: np.ndarray
-    gram: np.ndarray
     gram_blocks: tuple[np.ndarray, ...]
     block_slices: tuple[slice, ...]
 
@@ -277,41 +270,35 @@ def orthogonalize_effects(structure: FactorialStructure, sizes: GroupSizes,
     everything before it under the inverse-size-weighted inner product, so
     the tierwise imbalance statistics become exactly uncorrelated.  With
     equal group sizes the Gram matrix is already diagonal and the
-    coefficients come back unchanged (up to row reordering).
+    coefficients come back unchanged (up to row reordering).  A single
+    tier is returned as is, without the identity products.
     """
     partition.validate(structure.f_count)
     gram_b = coefficient_gram(structure, sizes)
     order = partition.order()
-    f_count = structure.f_count
     g_tier = structure.contrasts[order]
     b_tier = gram_b[np.ix_(order, order)]
     slices = partition.slices()
+    if len(slices) == 1:
+        return TieredCoefficients(coeffs=_readonly(g_tier),
+                                  gram_blocks=(_readonly(0.5 * (b_tier + b_tier.T)),),
+                                  block_slices=slices)
 
-    lower = np.eye(f_count)
+    lower = np.eye(structure.f_count)
     for h in range(1, len(slices)):
         blk = slices[h]
         prev = slice(0, blk.start)
         head = sym_inverse(b_tier[prev, prev], name=f"leading Gram block (tiers 1..{h})")
         lower[blk, prev] = -b_tier[blk, prev] @ head
 
-    coeffs = lower @ g_tier
-    gram_c = lower @ b_tier @ lower.T
-    gram_c = 0.5 * (gram_c + gram_c.T)
-    blocks = tuple(_readonly(0.5 * (gram_c[s, s] + gram_c[s, s].T)) for s in slices)
-
-    # contrasts[order] = inv(lower) @ coeffs; undo the reordering on the left
-    perm = np.eye(f_count)[order]
-    transform = perm.T @ np.linalg.solve(lower, np.eye(f_count))
-
-    return TieredCoefficients(
-        partition=partition,
-        order=tuple(order),
-        coeffs=_readonly(coeffs),
-        transform=_readonly(transform),
-        gram=_readonly(gram_c),
-        gram_blocks=blocks,
-        block_slices=slices,
-    )
+    # diagonal blocks of lower @ b_tier @ lower.T; the off-diagonal ones vanish
+    left = lower @ b_tier
+    blocks = []
+    for s in slices:
+        block = left[s] @ lower[s].T
+        blocks.append(_readonly(0.5 * (block + block.T)))
+    return TieredCoefficients(coeffs=_readonly(lower @ g_tier),
+                              gram_blocks=tuple(blocks), block_slices=slices)
 
 
 def orthogonalize_covariates(x: np.ndarray,
