@@ -31,8 +31,10 @@ from .errors import RefacError, SingularMatrixError, ValidationError
 from .estimate import (SampleMoments, effect_estimates, neyman_covariance,
                        projection_coefficients, residual_covariance_estimate,
                        sample_moments)
+# the function rerandomize stays in its module, so that refac.rerandomize
+# is the submodule
 from .rerandomize import (Assignment, MaxDrawsExceeded, RerandomizationOutcome,
-                          default_max_draws, draw_assignment, rerandomize)
+                          default_max_draws, draw_assignment)
 from .rng import philox_key, stream
 from .simlab import (CovariateColumn, OutcomeRecipe, Population,
                      PopulationSpec, ReplicationReport, TradeoffCurve,
@@ -42,6 +44,6 @@ from .simlab import (CovariateColumn, OutcomeRecipe, Population,
 from .truth import (PopulationTruth, criterion_profile, law_from_truth,
                     overall_profile, pairwise_explained, population_truth)
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -21,15 +21,6 @@ from .rerandomize import Assignment
 
 
 @dataclass(frozen=True)
-class EffectEstimate:
-    """Estimated factorial effects, one entry per effect in structure order."""
-
-    effects: np.ndarray
-    names: tuple[str, ...]
-    covariance: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class SampleMoments:
     """Within-group sample moments of outcome and covariates.
 

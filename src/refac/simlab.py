@@ -32,8 +32,8 @@ from .balance import (BalanceCriterion, CompleteRandomization, CriterionEngine,
                       EffectTierCriterion)
 from .chisq import chi2_quantile
 from .confidence import confidence_set
-from .design import (EffectTierPartition, FactorialStructure, GroupSizes,
-                     build_structure)
+from .design import (CONTRAST_BUDGET_BYTES, EffectTierPartition, FactorialStructure,
+                     GroupSizes, build_structure)
 from .errors import ValidationError
 from .estimate import effect_estimates
 from .rerandomize import default_max_draws, rerandomize
@@ -516,9 +516,12 @@ def replicate(population: Population, structure: FactorialStructure,
         raise ValidationError(f"need at least 2 replications, got {reps}")
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
-    if theory_draws < 1_000:
+    # simulate_law returns a (theory_draws, F) float array
+    theory_cap = CONTRAST_BUDGET_BYTES // 8 // structure.f_count
+    if not 1_000 <= theory_draws <= theory_cap:
         raise ValidationError(
-            f"theory_draws must be at least 1000, got {theory_draws}")
+            f"theory_draws must lie in [1000, {theory_cap}] for "
+            f"{structure.f_count} effects, got {theory_draws}")
     if coverage:
         validate_law_draws(law_draws)
     if population.k != structure.k:

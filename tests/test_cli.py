@@ -465,7 +465,7 @@ def test_simulate_builtin_population_resolves(tmp_path, capsys):
     assert payload["config"]["population"]["n"] == 1398
 
 
-def test_simulate_validation(tmp_path, capsys):
+def test_simulate_validation(tmp_path, capsys, monkeypatch):
     pop, _ = _simulation_configs(tmp_path)
     out = str(tmp_path / "o.json")
 
@@ -496,6 +496,15 @@ def test_simulate_validation(tmp_path, capsys):
         {"name": "a", "criterion": {"type": "overall", "p": 0.5}}],
         "seed": 1, "coverage": True, "draws": 10 ** 10})
     assert code == 2 and "law draws must lie in" in err
+
+    # 10^10 theory draws of 3 effects would take 240 GB: refused before any
+    # law sample is drawn
+    monkeypatch.setattr(importlib.import_module("refac.simlab"), "simulate_law", None)
+    code, err = run({"designs": [
+        {"name": "a", "criterion": {"type": "overall", "p": 0.5}}],
+        "seed": 1, "theory_draws": 10 ** 10})
+    assert code == 2
+    assert "theory_draws must lie in [1000, 11184810] for 3 effects, got 10000000000" in err
 
 
 # ---------------------------------------------------------------------------

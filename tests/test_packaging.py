@@ -31,3 +31,40 @@ def test_every_third_party_import_is_a_declared_dependency():
     third_party = _imported_top_levels() - set(sys.stdlib_module_names) - {"refac"}
     assert "numpy" in third_party
     assert third_party <= declared, f"undeclared: {sorted(third_party - declared)}"
+
+
+def test_rerandomize_submodule_is_not_shadowed():
+    import refac
+    import refac.rerandomize as module
+
+    assert type(module).__name__ == "module" and refac.rerandomize is module
+    assert callable(module.rerandomize) and module.rerandomize.__module__ == "refac.rerandomize"
+
+
+def _module_private_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def unreferenced_private_names(package: Path) -> list[str]:
+    """Module-level private names of ``package`` that no module reads."""
+    defined, used = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [(name, path.stem) for name in _module_private_names(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(f"{module}.{name}" for name, module in defined if name not in used)
+
+
+def test_every_private_module_name_is_used_in_the_package():
+    assert unreferenced_private_names(ROOT / "src" / "refac") == []

@@ -366,6 +366,24 @@ def test_replicate_validation():
                       law_draws=law_draws)
 
 
+def test_theory_draws_are_bounded_by_the_law_sample_size(monkeypatch):
+    # the (theory_draws, F) law sample must fit CONTRAST_BUDGET_BYTES; the
+    # count is refused before any replication or law sample
+    module = importlib.import_module("refac.simlab")
+    monkeypatch.setattr(module, "simulate_law", None)
+    monkeypatch.setattr(module, "_collect_design", None)
+    pop, s, sizes = _tiny_population()
+    cap = CONTRAST_BUDGET_BYTES // 8 // s.f_count
+    for draws in (cap + 1, 10 ** 10):
+        with pytest.raises(ValidationError,
+                           match=rf"theory_draws must lie in \[1000, {cap}\] for 3 effects"):
+            replicate(pop, s, sizes, [], reps=4, seed=1, theory_draws=draws)
+    # the default fits up to K = 7; K = 8 takes at most 131,586
+    assert CONTRAST_BUDGET_BYTES // 8 // build_structure(7).f_count >= 200_000
+    with pytest.raises(ValidationError, match=r"\[1000, 131586\] for 255 effects"):
+        replicate(pop, build_structure(8), sizes, [], reps=4, seed=1)
+
+
 def test_rep_blocks_are_capped_by_reps_and_cpus(monkeypatch):
     # a huge worker count splits into at most min(reps, CPU count) blocks,
     # computed without an array of workers + 1 bounds; no process starts
