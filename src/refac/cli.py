@@ -209,6 +209,8 @@ def _assignment_from_labels(labels: np.ndarray, sizes: GroupSizes,
 
 
 def _check_keys(spec: dict, allowed, context: str, required=()) -> None:
+    if not isinstance(spec, dict):
+        raise ValidationError(f"{context}: expected a JSON object")
     unknown = sorted(set(spec) - set(allowed))
     if unknown:
         raise ValidationError(f"{context}: unknown keys {unknown}; allowed: "
@@ -238,7 +240,7 @@ def _number_list(value, label: str) -> list[float]:
 
 def _parse_sizes(value, q_count: int, context: str) -> GroupSizes:
     if isinstance(value, dict):
-        _check_keys(value, {"equal"}, f"{context}: sizes")
+        _check_keys(value, {"equal"}, f"{context}: sizes", required=("equal",))
         return GroupSizes.equal(q_count, _as_int(value["equal"], "sizes.equal"))
     if isinstance(value, list):
         if len(value) != q_count:
@@ -633,8 +635,6 @@ def _parse_population(cfg, path: str) -> tuple[PopulationSpec, GroupSizes, dict]
                    else np.asarray(cfg["correlation"], dtype=float))
 
     oc = cfg["outcome"]
-    if not isinstance(oc, dict):
-        raise ValidationError(f"{path}: outcome must be an object")
     _check_keys(oc, {"intercepts", "slopes", "noise_scales", "additive", "clamp"},
                 f"{path}: outcome", required=("intercepts", "slopes"))
     noise = oc.get("noise_scales", 1.0)

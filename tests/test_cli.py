@@ -172,6 +172,10 @@ def test_design_validation_failures(tmp_path, capsys):
     code, err = run(config=bad_key)
     assert code == 2 and "unknown keys" in err
 
+    no_total = _design_config(tmp_path / "no_total.json", sizes={})
+    code, err = run(config=no_total)
+    assert code == 2 and "sizes: missing required key 'equal'" in err
+
     small = _design_config(tmp_path / "small.json", sizes={"equal": 16})
     code, err = run(config=small)
     assert code == 2 and "32 units" in err and "16" in err
@@ -187,6 +191,11 @@ def test_design_validation_failures(tmp_path, capsys):
                    "p": [0.2, 0.5]})
     code, err = run(config=one_based)
     assert code == 2 and "1-based" in err
+
+    # a config that is not an object once ended in a TypeError with exit 1
+    as_list = _write_json(tmp_path / "list.json", ["k", "sizes", "criterion"])
+    code, err = run(config=as_list)
+    assert code == 2 and f"{as_list}: expected a JSON object" in err
 
     not_json = tmp_path / "broken.json"
     not_json.write_text("{", encoding="utf-8")
