@@ -3,15 +3,19 @@
 Each criterion is a grid of (covariate tier, effect tier) cells: the overall
 criterion is the 1 x 1 grid and the effect-tier criterion the 1 x H grid.
 These tests pin the engine statistics and both law builders to that view,
-and the statistics to their affine and relabelling invariances.
+and the statistics to their affine and relabelling invariances.  The
+simulated law of every criterion kind is held to its covariance and to its
+symmetry, within Monte Carlo error.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refac.balance import (CriterionEngine, EffectTierCriterion,
-                           GridTierCriterion, MahalanobisCriterion)
+from refac.asymptotic import simulate_law
+from refac.balance import (CompleteRandomization, CriterionEngine,
+                           EffectTierCriterion, GridTierCriterion,
+                           MahalanobisCriterion)
 from refac.design import (CovariateTierPartition, EffectTierPartition,
                           GroupSizes, TierGrid, build_structure)
 from refac.estimate import projection_coefficients
@@ -200,3 +204,57 @@ def test_law_builders_agree_with_one_column_grids(data):
             assert [c.cutoff for c in actual] == [c.cutoff for c in expected]
             for a, e in zip(actual, expected):
                 _close(a.coef @ a.coef.T, e.coef @ e.coef.T, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the law's properties, by Monte Carlo
+
+#: Monte Carlo tolerance in standard errors; the draws are derandomized so
+#: that each run checks the same laws with the same samples
+Z = 4.5
+LAW_PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+LAW_DRAWS = 20_000
+
+
+def _laws(data):
+    """(law, rng): the exact law of every criterion kind for one population."""
+    structure, sizes, x, _, rng = data.draw(designs(max_l=2))
+    l_count = x.shape[1]
+    effect_tiers = data.draw(partitions(structure.f_count))
+    covariate_tiers = data.draw(partitions(l_count))
+    potential = _potential(rng, x, structure.q_count)
+    criteria = [CompleteRandomization(),
+                *_criteria(structure, l_count, effect_tiers, covariate_tiers)]
+    return [law_from_truth(x, potential, structure, sizes, c) for c in criteria], rng
+
+
+@LAW_PROPERTY
+@given(data=st.data())
+def test_simulated_law_has_the_law_covariance(data):
+    # the variance of u'phi along random directions u, against u' Sigma u,
+    # with the SE of a sample variance from the sample's fourth moment
+    laws, rng = _laws(data)
+    for law in laws:
+        sample = simulate_law(law, rng, LAW_DRAWS)
+        directions = rng.standard_normal((3, law.dim))
+        projected = sample @ directions.T
+        centered = projected - projected.mean(axis=0)
+        variance = (centered ** 2).mean(axis=0)
+        se = np.sqrt(((centered ** 2 - variance) ** 2).mean(axis=0) / LAW_DRAWS)
+        expected = np.einsum("uf,fg,ug->u", directions, law.covariance(), directions)
+        assert np.all(np.abs(variance - expected) <= Z * se), (variance, expected, se)
+
+
+@LAW_PROPERTY
+@given(data=st.data())
+def test_simulated_law_gives_a_ball_and_its_reflection_equal_mass(data):
+    # the law is symmetric: an off-center ball A and -A, on one sample
+    laws, rng = _laws(data)
+    for law in laws:
+        sample = simulate_law(law, rng, LAW_DRAWS)
+        center = np.sqrt(np.diag(law.covariance())) * rng.standard_normal(law.dim)
+        radius = np.median(np.linalg.norm(sample - center, axis=1))
+        inside = np.linalg.norm(sample - center, axis=1) <= radius
+        reflected = np.linalg.norm(sample + center, axis=1) <= radius
+        diff = inside.astype(float) - reflected
+        assert abs(diff.mean()) <= Z * diff.std() / np.sqrt(LAW_DRAWS)
