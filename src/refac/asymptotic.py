@@ -7,18 +7,19 @@ plus one linearly-transformed truncated Gaussian per balance statistic:
 
 where eps is standard Gaussian and zeta_i is a standard Gaussian vector of
 dimension d_i conditioned on ||zeta_i||^2 <= cutoff_i (an untruncated
-component stands in for plain randomization).  The law is invariant to the
-square-root convention used for the coefficients.
+component stands in for plain randomization).
 
-Only ``coef_i zeta_i`` is ever read, so a law draw never builds a d_i-vector.
-The law of zeta_i is invariant under rotations, so ``coef_i zeta_i`` has the
-law of ``B_i zeta_i[:r_i]``, where ``B_i B_i' = coef_i coef_i'`` and
-r_i = rank(coef_i) <= min(F, d_i).  This is the r-coordinate form of the
-scalar representation of Li, Ding & Rubin (2018, PNAS, "Asymptotic theory of
-rerandomization in treatment-control experiments").  A law draw costs F
-normals for the base, into which untruncated components fold, and r_i normals,
-a squared radius and one chi-square per truncated component.  In a whitened
-quadratic form, a Gaussian part whitened to I costs one noncentral chi-square.
+One sampler draws T phi in chunks, for T the identity (:func:`simulate_law`)
+or a whitened contrast (:func:`quadratic_form_samples`).  Untruncated
+components fold into the Gaussian part M = T (base + sum coef coef') T',
+drawn as normals times the symmetric root of M.  The law of zeta_i is
+invariant under rotations, so T coef_i zeta_i has the law of
+R_i' zeta_i[:r_i], with R_i from the thin QR of (T coef_i)' and
+r_i = min(F, d_i), and no d_i-vector is built: the scalar representation of
+Li, Ding & Rubin (2018, PNAS, "Asymptotic theory of rerandomization in
+treatment-control experiments").  Both factors are functions of the law,
+not of an eigenbasis, so a round-off change in the law moves a fixed-seed
+sample by round-off only.
 
 A truncated vector is a radius times a uniform direction.  The first r
 coordinates of the direction are g / sqrt(||g||^2 + chi^2_{d-r}), with g an
@@ -27,6 +28,7 @@ to [0, cutoff].  It is drawn exactly, by rejection from whichever proposal
 accepts more often: the power envelope cutoff * U^{2/d}, kept with
 probability exp(-t/2), or chi^2_d itself, kept below the cutoff.  When both
 accept less often than :data:`MIN_REJECTION_RATE`, the inverse CDF is used.
+The proposal blocks do not depend on the acceptance rate.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from scipy import special
 from .chisq import truncation_variance_factor  # noqa: F401  (re-exported)
 from .design import CONTRAST_BUDGET_BYTES
 from .errors import SingularMatrixError, ValidationError
-from .linalg import PSD_EIG_FLOOR, guarded_eigh, psd_sqrt, sym_inv_sqrt
+from .linalg import PSD_EIG_FLOOR, sym_inv_sqrt
 
 #: below this acceptance rate of both rejection proposals the squared radius
 #: is drawn by the inverse CDF, which costs about as much as 20 proposals
@@ -50,11 +52,8 @@ MIN_REJECTION_RATE = 0.05
 #: most proposals a rejection sampler draws at once, which bounds its memory
 PROPOSAL_CHUNK = 1 << 16
 
-#: law draws whose truncated part is added at once, which bounds the temporary
-LAW_ROW_CHUNK = 1 << 13
-
-#: bytes of one (rows, F') chunk of a quadratic-form sample, small enough to
-#: stay in cache: at F' = 127 it ran ~13% faster than 8 MiB (2-core Xeon)
+#: bytes of one (rows, F') chunk of a law sample, small enough to stay in
+#: cache: at F' = 127 it ran ~13% faster than 8 MiB (2-core Xeon)
 QUANTILE_CHUNK_BYTES = 256 << 10
 
 
@@ -63,10 +62,10 @@ def _untruncated(cutoff: float | None) -> bool:
 
 
 def _radius_plan(dim: int, cutoff: float) -> tuple[str, float]:
-    """How to draw chi^2_dim conditioned on <= cutoff, and the rate it needs.
+    """How to draw chi^2_dim conditioned on <= cutoff, and its mass.
 
-    ``("envelope", acceptance rate)``, ``("chisquare", mass)`` or
-    ``("inverse", mass)``, where mass is P(chi^2_dim <= cutoff).
+    ``"envelope"``, ``"chisquare"`` or ``"inverse"``, with the mass
+    P(chi^2_dim <= cutoff).
     """
     if cutoff <= 0.0:
         raise ValidationError(f"cutoff must be positive, got {cutoff}")
@@ -81,31 +80,34 @@ def _radius_plan(dim: int, cutoff: float) -> tuple[str, float]:
                                  + half * math.log(2.0 / cutoff)))
     if max(envelope, mass) < MIN_REJECTION_RATE:
         return "inverse", mass
-    return ("envelope", envelope) if envelope >= mass else ("chisquare", mass)
+    return ("envelope" if envelope >= mass else "chisquare"), mass
 
 
-def _rejection_sample(propose, rate: float, size: int) -> np.ndarray:
-    """The first ``size`` accepted values of ``propose(n) -> (values, kept)``."""
-    # a round acceptance rate puts 1.1 * need / rate on an integer; rounding
-    # the rate keeps the chunk sizes, and so the stream, off its round-off
-    rate = float(f"{rate:.10g}")
+def _rejection_sample(propose, size: int) -> np.ndarray:
+    """The first ``size`` accepted values of ``propose(n) -> (values, kept)``.
+
+    Blocks of proposals are the missing count, then doubling multiples of
+    it, up to :data:`PROPOSAL_CHUNK`.  They never read the acceptance rate,
+    so a change of the cutoff moves only the proposals whose fate it flips.
+    """
     out = np.empty(size)
-    filled = 0
+    filled, multiple = 0, 1
     while filled < size:
         need = size - filled
-        values, kept = propose(min(int(1.1 * need / rate) + 16, PROPOSAL_CHUNK))
+        values, kept = propose(min(need * multiple, PROPOSAL_CHUNK))
         accepted = values[kept][:need]
         out[filled:filled + accepted.size] = accepted
         filled += accepted.size
+        multiple *= 2
     return out
 
 
 def _truncated_chi2_sample(dim: int, cutoff: float, rng: np.random.Generator,
                            size: int) -> np.ndarray:
     """``size`` exact draws of chi^2_dim conditioned on being <= cutoff."""
-    method, rate = _radius_plan(dim, cutoff)
+    method, mass = _radius_plan(dim, cutoff)
     if method == "inverse":
-        radius_sq = 2.0 * special.gammaincinv(0.5 * dim, rng.random(size) * rate)
+        radius_sq = 2.0 * special.gammaincinv(0.5 * dim, rng.random(size) * mass)
         return np.minimum(radius_sq, cutoff)  # shave inverse-CDF round-off
     if method == "envelope":
         def propose(n):
@@ -115,7 +117,7 @@ def _truncated_chi2_sample(dim: int, cutoff: float, rng: np.random.Generator,
         def propose(n):
             t = rng.chisquare(dim, n)
             return t, t <= cutoff
-    return _rejection_sample(propose, rate, size)
+    return _rejection_sample(propose, size)
 
 
 def truncated_gaussian_sample(dim: int, cutoff: float | None,
@@ -148,10 +150,11 @@ def truncated_gaussian_sample(dim: int, cutoff: float | None,
 
 
 def _rank_factor(coef: np.ndarray) -> np.ndarray:
-    """(F, r) matrix B with B B' = coef coef' and r = rank(coef)."""
-    w, u = np.linalg.eigh(coef @ coef.T)
-    keep = w > w[-1] * max(coef.shape) * np.finfo(float).eps
-    return u[:, keep] * np.sqrt(w[keep])
+    """(F, min(F, d)) matrix R' with R' R = coef coef', from the thin QR of
+    coef' with R's diagonal made nonnegative: a function of coef coef' alone
+    (for d >= F, its Cholesky factor)."""
+    r = np.linalg.qr(coef.T, mode="r")
+    return (r * np.where(np.diag(r) < 0.0, -1.0, 1.0)[:, None]).T
 
 
 @dataclass(frozen=True)
@@ -213,35 +216,52 @@ class AsymptoticLaw:
         return correlation_profile(total_cov, [c.coef @ c.coef.T for c in self.components])
 
 
-def simulate_law(law: AsymptoticLaw, rng: np.random.Generator, draws: int) -> np.ndarray:
-    """(draws, dim) Monte Carlo sample of the law.
+def _law_chunks(law: AsymptoticLaw, t: np.ndarray, rng: np.random.Generator,
+                draws: int, peel: bool):
+    """Yield (s, c): ``draws`` rows of T phi, less sqrt(s) times normals, in chunks.
 
-    Untruncated components fold into the Gaussian base, which is drawn
-    first as (draws, dim) normals.  Each truncated component follows in
-    declaration order, as the rank(coef) leading coordinates of its
-    truncated vector (:func:`truncated_gaussian_sample` with ``coords``).
-    A fixed generator state therefore reproduces the sample exactly, and
-    no (draws, d) array is formed for a d-dimensional component.  Each
-    truncated part is added :data:`LAW_ROW_CHUNK` rows at a time.
+    M = T (base + sum coef coef') T' folds in the untruncated components.
+    With ``peel`` and M's least eigenvalue repeated more than twice to a
+    relative sqrt(eps), which bounds M's round-off, s is that eigenvalue,
+    else 0.  A chunk of :data:`QUANTILE_CHUNK_BYTES` / 8F' rows draws F'
+    normals times the symmetric root of M - s I (none if that is 0), then
+    each truncated component's rank-factor coordinates in order.
+    """
+    gauss = t @ (law.base_cov + sum(comp.coef @ comp.coef.T for comp in law.components
+                                    if _untruncated(comp.cutoff))) @ t.T
+    if not np.isfinite(gauss).all():
+        raise SingularMatrixError("law base covariance has non-finite entries")
+    lam, vec = np.linalg.eigh(gauss)
+    if lam[0] < PSD_EIG_FLOOR * max(lam[-1], 1.0):
+        raise SingularMatrixError(
+            f"law base covariance is not positive semidefinite (min eigenvalue {lam[0]:.3e})")
+    tol = max(lam[-1], 0.0) * np.sqrt(np.finfo(float).eps)
+    s = max(lam[0], 0.0) if peel and np.sum(lam - lam[0] <= tol) > 2 else 0.0
+    keep = lam - s > tol
+    root = vec[:, keep] * np.sqrt(lam[keep] - s)
+    if keep.any():
+        root = root @ vec[:, keep].T
+    truncated = [(comp, _rank_factor(t @ comp.coef))
+                 for comp in law.components if not _untruncated(comp.cutoff)]
+    step = max(1, QUANTILE_CHUNK_BYTES // (8 * len(gauss)))
+    for start in range(0, draws, step):
+        rows = min(step, draws - start)
+        c = rng.standard_normal((rows, root.shape[1])) @ root.T
+        for comp, factor in truncated:
+            c += truncated_gaussian_sample(comp.dim, comp.cutoff, rng, rows,
+                                           coords=factor.shape[1]) @ factor.T
+        yield s, c
+
+
+def simulate_law(law: AsymptoticLaw, rng: np.random.Generator, draws: int) -> np.ndarray:
+    """(draws, dim) Monte Carlo sample of the law: the law sampler's chunks,
+    stacked.  A fixed generator state reproduces it exactly, and no
+    (draws, d) array is formed for a d-dimensional component.
     """
     if draws < 1:
         raise ValidationError(f"draws must be >= 1, got {draws}")
-    base = law.base_cov.copy()
-    truncated = []
-    for comp in law.components:
-        if _untruncated(comp.cutoff):
-            base += comp.coef @ comp.coef.T
-        else:
-            truncated.append((comp, _rank_factor(comp.coef)))
-    root = psd_sqrt(base, name="law base covariance")
-    out = rng.standard_normal((draws, law.dim)) @ root.T
-    for comp, factor in truncated:
-        zeta = truncated_gaussian_sample(comp.dim, comp.cutoff, rng, draws,
-                                         coords=factor.shape[1])
-        for start in range(0, draws, LAW_ROW_CHUNK):
-            rows = slice(start, start + LAW_ROW_CHUNK)
-            out[rows] += zeta[rows] @ factor.T
-    return out
+    chunks = _law_chunks(law, np.eye(law.dim), rng, draws, peel=False)
+    return np.vstack([c for _, c in chunks])
 
 
 # ---------------------------------------------------------------------------
@@ -353,45 +373,24 @@ def quadratic_form_samples(law: AsymptoticLaw, contrast: np.ndarray | None,
                            draws: int) -> np.ndarray:
     """Monte Carlo sample of q = (C phi)' shape^{-1} (C phi) under the law.
 
-    ``contrast=None`` is the identity, never multiplied.  With shape = U W U'
-    and T = W^{-1/2} U' C (F' rows), q = ||T phi||^2.  Let M be the covariance
-    of T times the base and untruncated components (I in a confidence set
-    without the latter), s its least eigenvalue if of multiplicity over two to
-    a relative sqrt(eps), which bounds M's round-off (else 0), and c the sum
-    of (M - s I)^{1/2} eps and T coef_i zeta_i over truncated components, all
-    rank-reduced.  Then q is s times a noncentral chi^2_F' of noncentrality
-    ||c||^2 / s, two scalars for the normals of s, or ||c||^2 if s = 0.  Chunks
-    of :data:`QUANTILE_CHUNK_BYTES` / 8F' rows draw the M - s I normals, the
-    truncated components in order, then if s > 0 the noncentral chi-squares.
+    ``contrast=None`` is the identity, never multiplied.  With
+    T = shape^{-1/2} C (F' rows), q = ||T phi||^2.  The law sampler draws
+    T phi as sqrt(s) eps' + c, where s is the least eigenvalue of the
+    Gaussian part M if it repeats more than twice (M = I in a confidence set
+    without untruncated components), else 0.  Then q is s times a noncentral
+    chi^2_F' of noncentrality ||c||^2 / s, drawn after each chunk's c, or
+    ||c||^2 if s = 0.  Only the scalars are kept.
     """
     validate_law_draws(draws)
-    w, u = guarded_eigh(shape, name="confidence shape")
-    t = u.T / np.sqrt(w)[:, None]
+    t = sym_inv_sqrt(shape, name="confidence shape")
     if contrast is not None:
         t = t @ validate_contrast(contrast, law.dim)
     f_count = t.shape[0]
-    gauss = law.base_cov + sum(comp.coef @ comp.coef.T for comp in law.components
-                               if _untruncated(comp.cutoff))
-    lam, vec = np.linalg.eigh(t @ gauss @ t.T)
-    if lam[0] < PSD_EIG_FLOOR * max(lam[-1], 1.0):
-        raise SingularMatrixError(f"law base covariance is not PSD (min eigenvalue {lam[0]:.3e})")
-    tol = max(lam[-1], 0.0) * np.sqrt(np.finfo(float).eps)
-    s = max(lam[0], 0.0) if np.sum(lam - lam[0] <= tol) > 2 else 0.0
-    root = vec[:, lam - s > tol] * np.sqrt(lam[lam - s > tol] - s)
-    truncated = [(comp, _rank_factor(t @ comp.coef)) for comp in law.components
-                 if not _untruncated(comp.cutoff)]
-    out = np.empty(draws)
-    step = max(1, QUANTILE_CHUNK_BYTES // (8 * f_count))
-    for start in range(0, draws, step):
-        rows = min(step, draws - start)
-        c = rng.standard_normal((rows, root.shape[1])) @ root.T
-        for comp, factor in truncated:
-            c += truncated_gaussian_sample(comp.dim, comp.cutoff, rng, rows,
-                                           coords=factor.shape[1]) @ factor.T
+    out = []
+    for s, c in _law_chunks(law, t, rng, draws, peel=True):
         norm_sq = np.einsum("ij,ij->i", c, c)
-        out[start:start + rows] = (s * rng.noncentral_chisquare(f_count, norm_sq / s)
-                                   if s > 0.0 else norm_sq)
-    return out
+        out.append(s * rng.noncentral_chisquare(f_count, norm_sq / s) if s > 0.0 else norm_sq)
+    return np.concatenate(out)
 
 
 def quantile_thresholds(law: AsymptoticLaw, contrast: np.ndarray | None,

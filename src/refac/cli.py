@@ -232,6 +232,12 @@ def _as_number(value, label: str) -> float:
     return float(value)
 
 
+def _as_bool(value, label: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"{label} must be true or false, got {value!r}")
+    return value
+
+
 def _number_list(value, label: str) -> list[float]:
     if isinstance(value, list):
         return [_as_number(v, f"{label}[{i + 1}]") for i, v in enumerate(value)]
@@ -408,7 +414,7 @@ def _resolve_seed(flag_value, config: dict, *, context: str) -> int:
 _DESIGN_SETTINGS = {"max_draws": (None, _as_int)}
 _ANALYZE_SETTINGS = {"alpha": (0.05, _as_number), "draws": (DEFAULT_LAW_DRAWS, _as_int)}
 _SIMULATE_SETTINGS = {
-    "coverage": (False, lambda value, label: bool(value)),
+    "coverage": (False, _as_bool),
     "alpha": (0.05, _as_number),
     "draws": (20_000, _as_int),
     "theory_draws": (200_000, _as_int),
@@ -631,26 +637,23 @@ def _parse_population(cfg, path: str) -> tuple[PopulationSpec, GroupSizes, dict]
             values.append(_as_number(c.get(name, default), f"{context}: {name}"))
         columns.append(CovariateColumn(kind, *values))
 
-    correlation = (None if cfg.get("correlation") is None
-                   else np.asarray(cfg["correlation"], dtype=float))
-
     oc = cfg["outcome"]
     _check_keys(oc, {"intercepts", "slopes", "noise_scales", "additive", "clamp"},
                 f"{path}: outcome", required=("intercepts", "slopes"))
     noise = oc.get("noise_scales", 1.0)
     recipe = OutcomeRecipe(
         intercepts=tuple(_number_list(oc["intercepts"], f"{path}: intercepts")),
-        slopes=np.asarray(oc["slopes"], dtype=float),
-        noise_scales=(tuple(noise) if isinstance(noise, list) else
-                      _as_number(noise, f"{path}: noise_scales")),
-        additive=bool(oc.get("additive", False)),
-        clamp=None if oc.get("clamp") is None else tuple(oc["clamp"]))
+        slopes=oc["slopes"],
+        noise_scales=noise if isinstance(noise, list) else _as_number(
+            noise, f"{path}: noise_scales"),
+        additive=_as_bool(oc.get("additive", False), f"{path}: additive"),
+        clamp=oc.get("clamp"))
     spec = PopulationSpec(n=n, k=k, columns=tuple(columns), outcome=recipe,
-                          correlation=correlation)
+                          correlation=cfg.get("correlation"))
     resolved = {
         "n": n, "k": k, "sizes": list(sizes.counts),
         "columns": cfg["columns"],
-        "correlation": None if correlation is None else correlation.tolist(),
+        "correlation": None if spec.correlation is None else spec.correlation.tolist(),
         "outcome": {
             "intercepts": list(recipe.intercepts),
             "slopes": recipe.slopes.tolist(),

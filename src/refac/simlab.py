@@ -53,6 +53,14 @@ RANGE_QUANTILE = 0.95
 # synthetic populations
 
 
+def _floats(value, label: str) -> np.ndarray:
+    """``value`` as a float array; a string, mapping or ragged list is refused."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{label} must be numbers, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class CovariateColumn:
     """One synthetic covariate column.
@@ -115,13 +123,22 @@ class OutcomeRecipe:
     def __post_init__(self):
         object.__setattr__(self, "intercepts",
                            tuple(float(v) for v in self.intercepts))
-        object.__setattr__(self, "slopes", np.asarray(self.slopes, dtype=float))
+        object.__setattr__(self, "slopes", _floats(self.slopes, "slopes"))
         if self.slopes.ndim not in (1, 2):
             raise ValidationError(
                 f"slopes must be a vector or a (groups x covariates) table, "
                 f"got shape {self.slopes.shape}")
+        noise = _floats(self.noise_scales, "noise_scales")
+        if noise.ndim > 1:
+            raise ValidationError(
+                f"noise scales must be a scalar or a list, got shape {noise.shape}")
+        object.__setattr__(self, "noise_scales",
+                           float(noise) if noise.ndim == 0 else tuple(noise.tolist()))
         if self.clamp is not None:
-            lo, hi = (float(v) for v in self.clamp)
+            bounds = _floats(self.clamp, "clamp")
+            if bounds.shape != (2,):
+                raise ValidationError(f"clamp must be [lo, hi], got {self.clamp!r}")
+            lo, hi = bounds.tolist()
             if not lo < hi:
                 raise ValidationError(f"clamp bounds must satisfy lo < hi, got {self.clamp}")
             object.__setattr__(self, "clamp", (lo, hi))
@@ -183,7 +200,7 @@ class PopulationSpec:
             raise ValidationError("need at least one covariate column")
         object.__setattr__(self, "columns", tuple(self.columns))
         if self.correlation is not None:
-            corr = np.asarray(self.correlation, dtype=float)
+            corr = _floats(self.correlation, "correlation")
             l_count = len(self.columns)
             if corr.shape != (l_count, l_count):
                 raise ValidationError(

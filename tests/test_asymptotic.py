@@ -1,6 +1,5 @@
 """Truncated-Gaussian sampling, asymptotic laws, and quantile thresholds."""
 
-import importlib
 import math
 import tracemalloc
 
@@ -303,13 +302,55 @@ def _mixed_law(rng) -> AsymptoticLaw:
         LawComponent(coef[2], 2, None)))
 
 
-def test_law_rows_added_in_chunks_match_one_product(monkeypatch):
+def test_quadratic_form_is_the_squared_norm_of_the_law_sample():
+    # one sampler: with no repeated least eigenvalue to draw as a noncentral
+    # chi-square, q under the identity shape is ||phi||^2 of the same draws,
+    # over several chunks
     law = _mixed_law(stream(73, 12))
-    whole = simulate_law(law, stream(73, 13), 500)
-    monkeypatch.setattr(importlib.import_module("refac.asymptotic"), "LAW_ROW_CHUNK", 7)
-    np.testing.assert_allclose(simulate_law(law, stream(73, 13), 500), whole,
-                               rtol=1e-12, atol=1e-12)
+    draws = 20_000
+    np.testing.assert_allclose(
+        quadratic_form_samples(law, None, np.eye(4), stream(73, 13), draws),
+        (simulate_law(law, stream(73, 13), draws) ** 2).sum(axis=1), rtol=1e-12)
 
+
+
+def _orthonormal_rows(rng, rows, cols):
+    q, _ = np.linalg.qr(rng.standard_normal((cols, rows)))
+    return q.T
+
+
+def _round_off_law(case, rng):
+    """F = 5 laws whose factors an arbitrary eigenbasis would not pin down."""
+    if case == "identity_gram":
+        # coef coef' = 0.49 I, the overall component of equal group sizes
+        # with an additive outcome
+        return AsymptoticLaw(base_cov=0.51 * np.eye(5), components=(
+            LawComponent(0.7 * _orthonormal_rows(rng, 5, 10), 10, chi2_quantile(0.05, 10)),))
+    # the Gaussian part U diag(1, 1, 1, 2, 2) U' repeats 2 above its least
+    # eigenvalue, and an untruncated component supplies the repeat
+    u = _orthonormal_rows(rng, 5, 5).T
+    return AsymptoticLaw(base_cov=u @ np.diag([1.0, 1.0, 1.0, 1.0, 2.0]) @ u.T, components=(
+        LawComponent(rng.standard_normal((5, 3)) / 2.0, 3, chi2_quantile(0.3, 3)),
+        LawComponent(u[:, [3]], 1, None)))
+
+
+@pytest.mark.parametrize("case", ["identity_gram", "repeated_gaussian"])
+def test_fixed_seed_draws_move_by_round_off_only(case):
+    # a few ulps in every coefficient and cutoff move a fixed-seed sample by
+    # round-off, not by a rotated factor or a resized proposal block
+    rng = stream(73, 20)
+    law = _round_off_law(case, rng)
+
+    def ulps(value):
+        return value * (1.0 + np.finfo(float).eps * rng.integers(-4, 5, np.shape(value)))
+
+    moved = AsymptoticLaw(base_cov=law.base_cov, components=tuple(
+        LawComponent(ulps(c.coef), c.dim, None if c.cutoff is None else float(ulps(c.cutoff)))
+        for c in law.components))
+    for sample in (lambda lw, r: simulate_law(lw, r, 5_000),
+                   lambda lw, r: quadratic_form_samples(lw, None, np.eye(5), r, 5_000)):
+        before, after = sample(law, stream(73, 21)), sample(moved, stream(73, 21))
+        assert np.abs(after - before).max() <= 1e-9 * np.abs(before).max()
 
 TWO_ROWS = np.array([[1.0, -1.0, 0.0, 0.5], [0.0, 2.0, 1.0, 0.0]])
 THREE_ROWS = np.vstack([TWO_ROWS, [0.5, 0.0, 1.0, -1.0]])

@@ -697,6 +697,37 @@ def test_simulate_rejects_malformed_columns(tmp_path, capsys, column, message):
     assert f"{pop}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"outcome": {"slopes": "x"}}, "slopes must be numbers, got 'x'"),
+    ({"outcome": {"clamp": 5}}, "clamp must be [lo, hi], got 5"),
+    ({"outcome": {"noise_scales": ["a", "b"]}}, "noise_scales must be numbers, got ['a', 'b']"),
+    ({"correlation": "x"}, "correlation must be numbers, got 'x'"),
+    ({"outcome": {"additive": "no"}}, "additive must be true or false, got 'no'"),
+], ids=["slopes", "clamp", "noise-scales", "correlation", "additive"])
+def test_simulate_rejects_population_values_of_the_wrong_type(tmp_path, capsys, change,
+                                                              message):
+    _, designs = _simulation_configs(tmp_path)
+    population = {"n": 80, "k": 2, "sizes": {"equal": 80},
+                  "columns": [{"kind": "normal"}, {"kind": "normal"}],
+                  **{key: value for key, value in change.items() if key != "outcome"},
+                  "outcome": {"intercepts": [0.0, 0.5, 1.0, 1.5], "slopes": [1.0, 0.5],
+                              **change.get("outcome", {})}}
+    pop = _write_json(tmp_path / "bad_pop.json", population)
+    code = main(["simulate", "--population", pop, "--designs", designs,
+                 "--reps", "4", "--out-json", str(tmp_path / "o.json")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coverage", ["false", 0, None])
+def test_simulate_reads_coverage_only_as_a_json_boolean(tmp_path, capsys, coverage):
+    pop, designs = _simulation_configs(tmp_path, coverage=coverage)
+    code = main(["simulate", "--population", pop, "--designs", designs,
+                 "--reps", "4", "--out-json", str(tmp_path / "o.json")])
+    assert code == 2
+    assert f"coverage must be true or false, got {coverage!r}" in capsys.readouterr().err
+
+
 def _assert_tree_close(actual, expected, where="config"):
     """Equal JSON trees, with floats compared to a relative 1e-12."""
     if isinstance(expected, float):

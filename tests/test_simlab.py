@@ -62,6 +62,10 @@ def test_outcome_recipe_tables():
     with pytest.raises(ValidationError):
         OutcomeRecipe(intercepts=(0.0,), slopes=np.zeros(1),
                       noise_scales=-1.0).noise_table(1)
+    for bad in ({"slopes": "x"}, {"clamp": 5}, {"clamp": ("a", "b")},
+                {"noise_scales": ("a", "b")}, {"noise_scales": ((1.0,), (1.0,))}):
+        with pytest.raises(ValidationError):
+            OutcomeRecipe(**{"intercepts": (0.0, 1.0), "slopes": np.zeros(1), **bad})
 
 
 def test_additivity_checks():
@@ -92,6 +96,8 @@ def test_population_spec_validation():
     with pytest.raises(ValidationError):
         PopulationSpec(n=10, k=1, columns=(col,), outcome=recipe,
                        correlation=np.eye(2))
+    with pytest.raises(ValidationError, match="correlation must be numbers"):
+        PopulationSpec(n=10, k=1, columns=(col,), outcome=recipe, correlation="x")
     skew = np.array([[1.0, 0.5], [0.2, 1.0]])
     with pytest.raises(ValidationError, match="symmetric"):
         PopulationSpec(n=10, k=1, columns=(col, col), outcome=recipe,
