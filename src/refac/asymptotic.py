@@ -28,7 +28,6 @@ to [0, cutoff].  It is drawn exactly, by rejection from whichever proposal
 accepts more often: the power envelope cutoff * U^{2/d}, kept with
 probability exp(-t/2), or chi^2_d itself, kept below the cutoff.  When both
 accept less often than :data:`MIN_REJECTION_RATE`, the inverse CDF is used.
-The proposal blocks do not depend on the acceptance rate.
 """
 
 from __future__ import annotations
@@ -172,6 +171,8 @@ class LawComponent:
         if coef.shape[1] != self.dim:
             raise ValidationError(
                 f"coefficient has {coef.shape[1]} columns but dim={self.dim}")
+        if not np.isfinite(coef).all():
+            raise ValidationError("component coefficient has non-finite entries")
         if self.cutoff is not None and self.cutoff <= 0.0:
             raise ValidationError(f"cutoff must be positive, got {self.cutoff}")
         object.__setattr__(self, "coef", coef)
@@ -227,11 +228,11 @@ def _law_chunks(law: AsymptoticLaw, t: np.ndarray, rng: np.random.Generator,
     normals times the symmetric root of M - s I (none if that is 0), then
     each truncated component's rank-factor coordinates in order.
     """
-    gauss = t @ (law.base_cov + sum(comp.coef @ comp.coef.T for comp in law.components
-                                    if _untruncated(comp.cutoff))) @ t.T
+    gauss = law.base_cov + sum(comp.coef @ comp.coef.T for comp in law.components
+                               if _untruncated(comp.cutoff))
     if not np.isfinite(gauss).all():
         raise SingularMatrixError("law base covariance has non-finite entries")
-    lam, vec = np.linalg.eigh(gauss)
+    lam, vec = np.linalg.eigh(t @ gauss @ t.T)
     if lam[0] < PSD_EIG_FLOOR * max(lam[-1], 1.0):
         raise SingularMatrixError(
             f"law base covariance is not positive semidefinite (min eigenvalue {lam[0]:.3e})")
@@ -243,7 +244,7 @@ def _law_chunks(law: AsymptoticLaw, t: np.ndarray, rng: np.random.Generator,
         root = root @ vec[:, keep].T
     truncated = [(comp, _rank_factor(t @ comp.coef))
                  for comp in law.components if not _untruncated(comp.cutoff)]
-    step = max(1, QUANTILE_CHUNK_BYTES // (8 * len(gauss)))
+    step = max(1, QUANTILE_CHUNK_BYTES // (8 * len(t)))
     for start in range(0, draws, step):
         rows = min(step, draws - start)
         c = rng.standard_normal((rows, root.shape[1])) @ root.T
@@ -385,11 +386,10 @@ def quadratic_form_samples(law: AsymptoticLaw, contrast: np.ndarray | None,
     t = sym_inv_sqrt(shape, name="confidence shape")
     if contrast is not None:
         t = t @ validate_contrast(contrast, law.dim)
-    f_count = t.shape[0]
     out = []
     for s, c in _law_chunks(law, t, rng, draws, peel=True):
         norm_sq = np.einsum("ij,ij->i", c, c)
-        out.append(s * rng.noncentral_chisquare(f_count, norm_sq / s) if s > 0.0 else norm_sq)
+        out.append(s * rng.noncentral_chisquare(c.shape[1], norm_sq / s) if s > 0.0 else norm_sq)
     return np.concatenate(out)
 
 

@@ -121,8 +121,10 @@ class OutcomeRecipe:
     clamp: tuple[float, float] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "intercepts",
-                           tuple(float(v) for v in self.intercepts))
+        intercepts = _floats(self.intercepts, "intercepts")
+        if intercepts.ndim != 1:
+            raise ValidationError(f"intercepts must be a list, got {self.intercepts!r}")
+        object.__setattr__(self, "intercepts", tuple(intercepts.tolist()))
         object.__setattr__(self, "slopes", _floats(self.slopes, "slopes"))
         if self.slopes.ndim not in (1, 2):
             raise ValidationError(

@@ -16,7 +16,7 @@ from refac.asymptotic import (AsymptoticLaw, CorrelationProfile, LawComponent,
                               variance_reduction)
 from refac.chisq import chi2_quantile, truncation_variance_factor
 from refac.design import CONTRAST_BUDGET_BYTES
-from refac.errors import ValidationError
+from refac.errors import SingularMatrixError, ValidationError
 from refac.rng import stream
 
 
@@ -132,6 +132,8 @@ def test_law_component_validation():
         LawComponent(coef=np.zeros((2, 3)), dim=4, cutoff=None)
     with pytest.raises(ValidationError):
         LawComponent(coef=np.zeros((2, 3)), dim=3, cutoff=0.0)
+    with pytest.raises(ValidationError, match="non-finite"):
+        LawComponent(coef=np.array([[np.nan, 1.0], [0.0, 1.0]]), dim=2, cutoff=3.0)
     comp = LawComponent(coef=np.eye(3), dim=3, cutoff=2.0)
     assert comp.variance_factor == pytest.approx(
         truncation_variance_factor(3, 2.0))
@@ -313,7 +315,6 @@ def test_quadratic_form_is_the_squared_norm_of_the_law_sample():
         (simulate_law(law, stream(73, 13), draws) ** 2).sum(axis=1), rtol=1e-12)
 
 
-
 def _orthonormal_rows(rng, rows, cols):
     q, _ = np.linalg.qr(rng.standard_normal((cols, rows)))
     return q.T
@@ -351,6 +352,18 @@ def test_fixed_seed_draws_move_by_round_off_only(case):
                    lambda lw, r: quadratic_form_samples(lw, None, np.eye(5), r, 5_000)):
         before, after = sample(law, stream(73, 21)), sample(moved, stream(73, 21))
         assert np.abs(after - before).max() <= 1e-9 * np.abs(before).max()
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -1.0])
+def test_law_samplers_refuse_a_gaussian_part_not_finite_and_psd(entry):
+    base = np.eye(3)
+    base[0, 0] = entry
+    law = AsymptoticLaw(base_cov=base, components=(LawComponent(np.eye(3), 3, 2.0),))
+    with pytest.raises(SingularMatrixError, match="law base covariance"):
+        simulate_law(law, stream(73, 22), 10)
+    with pytest.raises(SingularMatrixError, match="law base covariance"):
+        quadratic_form_samples(law, None, np.eye(3), stream(73, 22), 10)
+
 
 TWO_ROWS = np.array([[1.0, -1.0, 0.0, 0.5], [0.0, 2.0, 1.0, 0.0]])
 THREE_ROWS = np.vstack([TWO_ROWS, [0.5, 0.0, 1.0, -1.0]])

@@ -62,7 +62,8 @@ def test_outcome_recipe_tables():
     with pytest.raises(ValidationError):
         OutcomeRecipe(intercepts=(0.0,), slopes=np.zeros(1),
                       noise_scales=-1.0).noise_table(1)
-    for bad in ({"slopes": "x"}, {"clamp": 5}, {"clamp": ("a", "b")},
+    for bad in ({"intercepts": "ab"}, {"intercepts": 5}, {"slopes": "x"},
+                {"clamp": 5}, {"clamp": ("a", "b")},
                 {"noise_scales": ("a", "b")}, {"noise_scales": ((1.0,), (1.0,))}):
         with pytest.raises(ValidationError):
             OutcomeRecipe(**{"intercepts": (0.0, 1.0), "slopes": np.zeros(1), **bad})
