@@ -44,6 +44,6 @@ from .simlab import (CovariateColumn, OutcomeRecipe, Population,
 from .truth import (PopulationTruth, criterion_profile, law_from_truth,
                     overall_profile, pairwise_explained, population_truth)
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

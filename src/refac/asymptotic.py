@@ -256,13 +256,17 @@ def _law_chunks(law: AsymptoticLaw, t: np.ndarray, rng: np.random.Generator,
 
 def simulate_law(law: AsymptoticLaw, rng: np.random.Generator, draws: int) -> np.ndarray:
     """(draws, dim) Monte Carlo sample of the law: the law sampler's chunks,
-    stacked.  A fixed generator state reproduces it exactly, and no
-    (draws, d) array is formed for a d-dimensional component.
+    written into one array.  A fixed generator state reproduces it exactly,
+    and no (draws, d) array is formed for a d-dimensional component.
     """
     if draws < 1:
         raise ValidationError(f"draws must be >= 1, got {draws}")
-    chunks = _law_chunks(law, np.eye(law.dim), rng, draws, peel=False)
-    return np.vstack([c for _, c in chunks])
+    out = np.empty((draws, law.dim))
+    start = 0
+    for _, c in _law_chunks(law, np.eye(law.dim), rng, draws, peel=False):
+        out[start:start + len(c)] = c
+        start += len(c)
+    return out
 
 
 # ---------------------------------------------------------------------------

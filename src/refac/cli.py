@@ -419,7 +419,7 @@ _SIMULATE_SETTINGS = {
     "draws": (20_000, _as_int),
     "theory_draws": (200_000, _as_int),
     "max_draws": (None, _as_int),
-    "workers": (1, _as_int),
+    "workers": (None, _as_int),
 }
 
 
@@ -725,7 +725,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--alpha", type=float)
     s.add_argument("--draws", type=int, help="law draws per confidence set")
     s.add_argument("--max-draws", type=int, dest="max_draws")
-    s.add_argument("--workers", type=int)
+    s.add_argument("--workers", type=int,
+                   help="threads running replications (default: the usable CPUs)")
     s.add_argument("--out-csv", dest="out_csv", help="flat per-effect CSV report")
     s.add_argument("--out-json", dest="out_json", help="full JSON report (default: stdout)")
 

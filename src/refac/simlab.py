@@ -1,9 +1,8 @@
 """Synthetic populations and replication studies.
 
 Everything here is driven by explicit seeds through :func:`refac.rng.stream`,
-so a study is reproducible bit for bit: rerunning with the same seed -- or
-the same seed split across a different number of worker processes -- yields
-the identical report.  Wall-clock timing is carried alongside the results
+so a study is reproducible bit for bit: rerunning with the same seed -- on
+any number of worker threads -- yields the identical report.  Wall-clock timing is carried alongside the results
 but never enters the deterministic content.
 
 Substream layout (first path component is a namespace tag):
@@ -18,8 +17,10 @@ Substream layout (first path component is a namespace tag):
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass, field, fields
 from typing import Sequence
@@ -33,10 +34,10 @@ from .balance import (BalanceCriterion, CompleteRandomization, CriterionEngine,
 from .chisq import chi2_quantile
 from .confidence import confidence_set
 from .design import (CONTRAST_BUDGET_BYTES, EffectTierPartition, FactorialStructure,
-                     GroupSizes, build_structure)
+                     GroupSizes)
 from .errors import ValidationError
 from .estimate import effect_estimates
-from .rerandomize import default_max_draws, rerandomize
+from .rerandomize import rerandomize
 from .rng import stream
 from .truth import law_from_truth, population_truth
 
@@ -402,61 +403,42 @@ class ReplicationReport:
         return (self.baseline,) + self.designs
 
 
-def _replication_block(payload) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Run replications lo..hi-1 of one design; worker-process entry point."""
-    (x, potential, k, counts, criterion, seed, d_index, lo, hi,
-     want_coverage, alpha, law_draws, max_draws, tau) = payload
-    structure = build_structure(k)
-    sizes = GroupSizes(tuple(counts))
-    engine = CriterionEngine(x, structure, sizes, criterion)
-    budget = max_draws if max_draws is not None else \
-        default_max_draws(engine.acceptance_probability)
-    count = hi - lo
-    taus = np.empty((count, structure.f_count))
-    draws = np.empty(count, dtype=np.int64)
-    covers = np.zeros(count, dtype=bool) if want_coverage else None
-    rows = np.arange(x.shape[0])
-    for idx, i in enumerate(range(lo, hi)):
-        outcome = rerandomize(x, structure, sizes, criterion,
-                              stream(seed, 0, d_index, i),
-                              max_draws=budget, engine=engine)
-        y = potential[rows, outcome.assignment.codes]
-        taus[idx] = effect_estimates(y, outcome.assignment, structure)
-        draws[idx] = outcome.draws_attempted
-        if want_coverage:
-            cs = confidence_set(y, x, outcome.assignment, structure, sizes,
-                                criterion, alpha=alpha,
-                                rng=stream(seed, 3, d_index, i), draws=law_draws)
-            covers[idx] = cs.contains(tau)
-    return taus, draws, covers
+def _run_tasks(task, count: int, threads: int) -> list:
+    """``[task(0), ..., task(count - 1)]`` from the calling thread and
+    ``min(threads, count) - 1`` helper threads, which take indices in order
+    from one counter.  After a failure or an interrupt no index is taken;
+    every lower index was taken earlier and runs out, so the error raised
+    is that of the lowest failing index, as in a serial run, unless an
+    interrupt came.  Every helper is joined before this returns or raises.
+    """
+    results, errors, stop = [None] * count, {}, threading.Event()
+    indices, lock = itertools.count(), threading.Lock()
 
+    def work():
+        while not stop.is_set():
+            with lock:
+                i = next(indices)
+            if i >= count:
+                return
+            try:
+                results[i] = task(i)
+            except BaseException as exc:  # an interrupt, too, stops the loop
+                errors[i] = exc
+                stop.set()
 
-def _rep_blocks(reps: int, workers: int) -> list[tuple[int, int]]:
-    """(lo, hi) bounds of min(workers, reps, CPU count) nonempty blocks of reps."""
-    blocks = min(workers, reps, os.cpu_count() or 1)
-    return [(i * reps // blocks, (i + 1) * reps // blocks) for i in range(blocks)]
-
-
-def _collect_design(x, potential, structure, sizes, criterion, seed, d_index,
-                    reps, want_coverage, alpha, law_draws, max_draws, tau,
-                    workers):
-    """Replications of one design: one block runs here, several in a pool."""
-    payloads = [
-        (x, potential, structure.k, sizes.counts, criterion, seed, d_index,
-         lo, hi, want_coverage, alpha, law_draws, max_draws, tau)
-        for lo, hi in _rep_blocks(reps, workers)
-    ]
-    if len(payloads) == 1:
-        parts = [_replication_block(payloads[0])]
-    else:
-        import multiprocessing
-
-        with multiprocessing.get_context("spawn").Pool(processes=len(payloads)) as pool:
-            parts = pool.map(_replication_block, payloads)
-    taus = np.concatenate([p[0] for p in parts])
-    draws = np.concatenate([p[1] for p in parts])
-    covers = np.concatenate([p[2] for p in parts]) if want_coverage else None
-    return taus, draws, covers
+    helpers = [threading.Thread(target=work) for _ in range(min(threads, count) - 1)]
+    try:
+        for helper in helpers:
+            helper.start()
+        work()
+    finally:
+        stop.set()
+        for helper in helpers:
+            if helper.ident is not None:  # it was started
+                helper.join()
+    if errors:  # an interrupt first, else the error of the lowest failing index
+        raise min(errors.items(), key=lambda e: (isinstance(e[1], Exception), e[0]))[1]
+    return results
 
 
 def _summarize(name, taus, draws, covers, tau, baseline=None,
@@ -470,28 +452,20 @@ def _summarize(name, taus, draws, covers, tau, baseline=None,
     variance_se = np.array([_variance_se(taus[:, f]) for f in range(f_count)])
     abs_err = np.abs(errors)
     qrange = np.quantile(abs_err, RANGE_QUANTILE, axis=0)
-    qrange_se = np.array([_quantile_se(abs_err[:, f], RANGE_QUANTILE)
-                          for f in range(f_count)])
+    qrange_se = np.array([_quantile_se(col, RANGE_QUANTILE) for col in abs_err.T])
 
     nan_f = np.full(f_count, np.nan)
     if baseline is None:
         var_red = var_red_se = range_red = range_red_se = nan_f
-        theory_var = nan_f if theory_var_red is None else theory_var_red
-        theory_range = nan_f if theory_range_red is None else theory_range_red
+        theory_var_red = theory_range_red = nan_f
     else:
         var_red = 1.0 - variance / baseline.variance
-        var_red_se = np.array([
-            _ratio_reduction_se(variance[f], variance_se[f],
-                                baseline.variance[f], baseline.variance_se[f])
-            for f in range(f_count)])
+        var_red_se = np.array(list(map(_ratio_reduction_se, variance, variance_se,
+                                       baseline.variance, baseline.variance_se)))
         range_red = 1.0 - qrange / baseline.quantile_range
-        range_red_se = np.array([
-            _ratio_reduction_se(qrange[f], qrange_se[f],
-                                baseline.quantile_range[f],
-                                baseline.quantile_range_se[f])
-            for f in range(f_count)])
-        theory_var = theory_var_red
-        theory_range = theory_range_red
+        range_red_se = np.array(list(map(_ratio_reduction_se, qrange, qrange_se,
+                                         baseline.quantile_range,
+                                         baseline.quantile_range_se)))
 
     rate = reps / float(draws.sum())
     rate_se = rate * math.sqrt((1.0 - rate) / reps)
@@ -507,11 +481,11 @@ def _summarize(name, taus, draws, covers, tau, baseline=None,
         mean_error=mean_error, mean_error_se=mean_error_se,
         variance=variance, variance_se=variance_se,
         variance_reduction=var_red, variance_reduction_se=var_red_se,
-        variance_reduction_theory=theory_var,
+        variance_reduction_theory=theory_var_red,
         quantile_range=qrange, quantile_range_se=qrange_se,
         quantile_range_reduction=range_red,
         quantile_range_reduction_se=range_red_se,
-        quantile_range_reduction_theory=theory_range,
+        quantile_range_reduction_theory=theory_range_red,
         coverage=float(cov), coverage_se=float(cov_se))
 
 
@@ -520,7 +494,7 @@ def replicate(population: Population, structure: FactorialStructure,
               *, reps: int, seed: int, coverage: bool = False,
               alpha: float = 0.05, law_draws: int = 20_000,
               theory_draws: int = 200_000, max_draws: int | None = None,
-              workers: int = 1) -> ReplicationReport:
+              workers: int | None = None) -> ReplicationReport:
     """Monte Carlo comparison of balance criteria on a fixed population.
 
     Every named design is rerun ``reps`` times against an implicit
@@ -529,11 +503,14 @@ def replicate(population: Population, structure: FactorialStructure,
     counterparts.  When ``coverage`` is set, each replication also builds a
     joint confidence set for all effects and checks it against the true
     effect vector.
+
+    Replications run on the calling thread and helper threads, at most
+    ``workers`` in all (default: the usable CPUs); reports do not depend on it.
     """
     started = time.perf_counter()
     if reps < 2:
         raise ValidationError(f"need at least 2 replications, got {reps}")
-    if workers < 1:
+    if workers is not None and workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     # simulate_law returns a (theory_draws, F) float array
     theory_cap = CONTRAST_BUDGET_BYTES // 8 // structure.f_count
@@ -563,30 +540,47 @@ def replicate(population: Population, structure: FactorialStructure,
     tau = truth.tau
     all_designs = [(BASELINE_NAME, CompleteRandomization())] + list(designs)
 
-    # theoretical spread of the baseline law, shared by every comparison
-    base_law = law_from_truth(x, potential, structure, sizes,
-                              CompleteRandomization(), truth=truth)
-    base_phi = np.abs(simulate_law(base_law, stream(seed, 1, 0), theory_draws))
-    base_theory_range = np.quantile(base_phi, RANGE_QUANTILE, axis=0)
+    # one engine per design, shared read-only by every replication
+    engines = [CriterionEngine(x, structure, sizes, criterion)
+               for _, criterion in all_designs]
+
+    def replication(task: int):
+        d, i = divmod(task, reps)
+        engine = engines[d]
+        outcome = rerandomize(x, structure, sizes, engine.criterion,
+                              stream(seed, 0, d, i), max_draws=max_draws,
+                              engine=engine)
+        y = potential[np.arange(len(x)), outcome.assignment.codes]
+        covered = coverage and confidence_set(
+            y, x, outcome.assignment, structure, sizes, engine.criterion,
+            alpha=alpha, rng=stream(seed, 3, d, i), draws=law_draws).contains(tau)
+        return (effect_estimates(y, outcome.assignment, structure),
+                outcome.draws_attempted, covered)
+
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)  # the CPUs this process may run on
+    done = _run_tasks(replication, len(all_designs) * reps,
+                      cpus if workers is None else min(workers, cpus))
 
     results: list[DesignResult] = []
-    for d_index, (name, criterion) in enumerate(all_designs):
-        taus, draws, covers = _collect_design(
-            x, potential, structure, sizes, criterion, seed, d_index, reps,
-            coverage, alpha, law_draws, max_draws, tau, workers)
-        if d_index == 0:
+    for d, (name, criterion) in enumerate(all_designs):
+        taus, draws, covers = (np.array(v) for v in zip(*done[d * reps:(d + 1) * reps]))
+        covers = covers if coverage else None
+        law = law_from_truth(x, potential, structure, sizes, criterion, truth=truth)
+        phi = simulate_law(law, stream(seed, 1, d), theory_draws)
+        theory_range = np.quantile(np.abs(phi, out=phi), RANGE_QUANTILE, axis=0,
+                                   overwrite_input=True)
+        if d == 0:  # the baseline's theoretical spread scales every comparison
+            base_range = theory_range
             results.append(_summarize(name, taus, draws, covers, tau))
             continue
-        law = law_from_truth(x, potential, structure, sizes, criterion, truth=truth)
         theory_var = variance_reduction(law.profile(truth.total_cov),
                                         [c.dim for c in law.components],
                                         [c.cutoff for c in law.components])
-        phi = np.abs(simulate_law(law, stream(seed, 1, d_index), theory_draws))
-        theory_range = 1.0 - np.quantile(phi, RANGE_QUANTILE, axis=0) / base_theory_range
         results.append(_summarize(name, taus, draws, covers, tau,
                                   baseline=results[0],
                                   theory_var_red=theory_var,
-                                  theory_range_red=theory_range))
+                                  theory_range_red=1.0 - theory_range / base_range))
 
     return ReplicationReport(
         seed=seed, reps=reps, n=population.n, k=structure.k,

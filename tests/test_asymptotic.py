@@ -211,6 +211,23 @@ def test_simulate_law_memory_is_linear_in_the_rank():
     assert peak < 4 * draws * (f_count + 3) * 8
 
 
+def test_simulate_law_peaks_at_one_sample():
+    # the sampler's chunks are written into one (draws, F) array, so no
+    # stacked copy doubles the peak
+    f_count, draws = 31, 50_000
+    coef = stream(74, 2).standard_normal((f_count, 40)) / math.sqrt(40)
+    law = AsymptoticLaw(base_cov=np.eye(f_count), components=(
+        LawComponent(coef, 40, chi2_quantile(0.3, 40)),))
+    tracemalloc.start()
+    try:
+        sample = simulate_law(law, stream(74, 3), draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sample.shape == (draws, f_count)
+    assert peak < 1.5 * sample.nbytes
+
+
 # ---------------------------------------------------------------------------
 # correlation profiles and variance reduction
 

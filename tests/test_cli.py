@@ -4,6 +4,10 @@ import csv
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -516,6 +520,29 @@ def test_simulate_validation(tmp_path, capsys, monkeypatch):
     assert "theory_draws must lie in [1000, 11184810] for 3 effects, got 10000000000" in err
 
 
+def test_simulate_budget_exhausted_exits_alike_on_threads(tmp_path):
+    # a replication that runs out of draws reaches the caller unchanged, from
+    # the lowest failing task, for any worker count; each run is timed out so
+    # that a hang fails the test
+    pop, designs = _simulation_configs(tmp_path, max_draws=2, designs=[
+        {"name": "tight", "criterion": {"type": "overall", "p": 0.001}}])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    runs = []
+    for workers in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from refac.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "simulate", "--population", pop,
+             "--designs", designs, "--reps", "4", "--workers", workers,
+             "--out-json", str(tmp_path / "o.json")],
+            capture_output=True, text=True, env=env, timeout=60)
+        runs.append((proc.returncode, proc.stderr))
+    assert runs[0][0] == 3
+    assert "no assignment passed within 2 draws" in runs[0][1]
+    assert runs[1] == runs[0]
+
+
 # ---------------------------------------------------------------------------
 # JSON reports
 
@@ -825,7 +852,7 @@ def test_simulate_report_config_is_pinned(tmp_path):
             "type": "overall", "dims": [9], "a": [6.393305964475309],
             "p": [0.3]}}],
         "reps": 4, "seed": 3, "coverage": True, "alpha": 0.1, "draws": 2000,
-        "theory_draws": 2000, "max_draws": None, "workers": 1})
+        "theory_draws": 2000, "max_draws": None, "workers": None})
 
 
 @pytest.mark.parametrize("argv, rows", [

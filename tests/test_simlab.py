@@ -2,6 +2,11 @@
 
 import importlib
 import math
+import os
+import sys
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +19,7 @@ from refac.design import (CONTRAST_BUDGET_BYTES, EffectTierPartition, GroupSizes
 from refac.errors import ValidationError
 from refac.rng import stream
 from refac.simlab import (BASELINE_NAME, CovariateColumn, OutcomeRecipe,
-                          Population, PopulationSpec, _quantile_se, _rep_blocks,
+                          Population, PopulationSpec, _quantile_se, _run_tasks,
                           _ratio_reduction_se, _variance_se, binary_column,
                           education_like, generate_population, normal_column,
                           replicate, report_rows, report_to_dict,
@@ -340,11 +345,74 @@ def test_replicate_coverage_does_not_depend_on_batch_size(monkeypatch):
 def test_replicate_worker_layout_does_not_change_results():
     pop, s, sizes = _tiny_population(n=32)
     designs = [_loose_design(0.5)]
-    serial = replicate(pop, s, sizes, designs, reps=6, seed=10,
-                       theory_draws=1000, workers=1)
-    split = replicate(pop, s, sizes, designs, reps=6, seed=10,
-                      theory_draws=1000, workers=2)
-    np.testing.assert_equal(report_rows(serial), report_rows(split))
+    for coverage in (False, True):
+        rows = [report_rows(replicate(
+            pop, s, sizes, designs, reps=6, seed=10, coverage=coverage,
+            alpha=0.2, law_draws=200, theory_draws=1000, workers=workers))
+            for workers in (1, 2, None)]
+        np.testing.assert_equal(rows[1], rows[0])
+        np.testing.assert_equal(rows[2], rows[0])
+    assert not math.isnan(rows[0][-1]["coverage"])
+
+
+def test_task_loop_raises_the_lowest_failing_task_and_stops():
+    # whichever thread gets there first, the error raised is that of the
+    # lowest failing index, and no index is taken after a failure
+    alive = threading.active_count()
+    for threads in (1, 2, 4):
+        ran, five_failed = [], threading.Event()
+
+        def task(i):
+            ran.append(i)
+            if i == 3:
+                five_failed.wait(0.5 if threads > 1 else 0.0)
+                raise ValueError(i)
+            if i == 5:
+                five_failed.set()
+                raise KeyError(i)
+            time.sleep(0.001)
+            return i
+
+        with pytest.raises(ValueError) as err:
+            _run_tasks(task, 10_000, threads)
+        assert err.value.args == (3,)
+        assert len(ran) < 1_000
+        assert threading.active_count() == alive
+    assert _run_tasks(lambda i: i * i, 5, 3) == [0, 1, 4, 9, 16]
+
+
+def test_task_loop_runs_each_index_once_under_contention():
+    # more threads than cores and a short switch interval: every index is
+    # taken by exactly one thread, and its result lands in its own slot
+    ran, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = _run_tasks(lambda i: ran.append(i) or i * i, 3_000, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(ran) == list(range(3_000))
+    assert results == [i * i for i in range(3_000)]
+
+
+def test_task_loop_stops_on_an_interrupt():
+    # an interrupt stops the loop and is raised even when a lower index
+    # fails with an error
+    taken, alive, interrupted = [], threading.active_count(), threading.Event()
+
+    def task(i):
+        taken.append(i)
+        if i == 0:
+            interrupted.wait(0.5)
+            raise ValueError(i)
+        if i == 1:
+            interrupted.set()
+            raise KeyboardInterrupt
+        time.sleep(0.001)
+
+    with pytest.raises(KeyboardInterrupt):
+        _run_tasks(task, 10_000, 2)
+    assert len(taken) < 1_000
+    assert threading.active_count() == alive
 
 
 def test_replicate_validation():
@@ -378,7 +446,7 @@ def test_theory_draws_are_bounded_by_the_law_sample_size(monkeypatch):
     # count is refused before any replication or law sample
     module = importlib.import_module("refac.simlab")
     monkeypatch.setattr(module, "simulate_law", None)
-    monkeypatch.setattr(module, "_collect_design", None)
+    monkeypatch.setattr(module, "_run_tasks", None)
     pop, s, sizes = _tiny_population()
     cap = CONTRAST_BUDGET_BYTES // 8 // s.f_count
     for draws in (cap + 1, 10 ** 10):
@@ -391,16 +459,44 @@ def test_theory_draws_are_bounded_by_the_law_sample_size(monkeypatch):
         replicate(pop, build_structure(8), sizes, [], reps=4, seed=1)
 
 
-def test_rep_blocks_are_capped_by_reps_and_cpus(monkeypatch):
-    # a huge worker count splits into at most min(reps, CPU count) blocks,
-    # computed without an array of workers + 1 bounds; no process starts
-    monkeypatch.setattr("os.cpu_count", lambda: 64)
-    assert _rep_blocks(2, 10 ** 12) == [(0, 1), (1, 2)]
-    assert _rep_blocks(10, 3) == [(0, 3), (3, 6), (6, 10)]
-    monkeypatch.setattr("os.cpu_count", lambda: 4)
-    assert _rep_blocks(10, 10 ** 12) == [(0, 2), (2, 5), (5, 7), (7, 10)]
-    monkeypatch.setattr("os.cpu_count", lambda: None)
-    assert _rep_blocks(2, 10 ** 12) == [(0, 2)]
+def test_replicate_threads_are_capped_by_cpus_and_tasks(monkeypatch):
+    # a huge worker count starts at most min(CPU count, tasks) - 1 helper
+    # threads, allocates nothing per worker and leaves no thread running
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    pop, s, sizes = _tiny_population()
+    alive = threading.active_count()
+    for cpus, reps, designs, cap in ((64, 2, [], 1), (64, 4, [_loose_design()], 7),
+                                     (3, 4, [_loose_design()], 2)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)),
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda c=cpus: c)
+        started.clear()
+        replicate(pop, s, sizes, designs, reps=reps, seed=1, theory_draws=1000,
+                  workers=10 ** 12)
+        assert 1 <= len(started) <= cap
+        assert not any(t.is_alive() for t in started)
+    assert threading.active_count() == alive
+
+
+def test_theory_law_sample_peaks_at_one_sample():
+    # simulate_law fills one (draws, F) array, and replicate takes |phi| and
+    # its quantiles in place, so the sample itself bounds the peak
+    pop, s, sizes = _tiny_population()
+    draws = 400_000
+    tracemalloc.start()
+    try:
+        replicate(pop, s, sizes, [], reps=2, seed=4, theory_draws=draws, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * draws * s.f_count * 8
 
 
 def test_replicate_variance_reduction_tracks_theory_loosely():
