@@ -77,7 +77,7 @@ def draw_assignment_batch(sizes: GroupSizes, rng: np.random.Generator,
                           size: int) -> np.ndarray:
     """(size, n) matrix of independent uniform assignments with fixed counts."""
     pool = np.tile(_label_pool(sizes), (size, 1))
-    return rng.permuted(pool, axis=1)
+    return rng.permuted(pool, axis=1, out=pool)  # the same rows, with no copy
 
 
 def draw_assignment(sizes: GroupSizes, rng: np.random.Generator) -> Assignment:
