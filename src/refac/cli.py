@@ -725,8 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--alpha", type=float)
     s.add_argument("--draws", type=int, help="law draws per confidence set")
     s.add_argument("--max-draws", type=int, dest="max_draws")
-    s.add_argument("--workers", type=int,
-                   help="threads running replications (default: the usable CPUs)")
+    s.add_argument("--workers", type=int, help="replication threads (default: usable CPUs)")
     s.add_argument("--out-csv", dest="out_csv", help="flat per-effect CSV report")
     s.add_argument("--out-json", dest="out_json", help="full JSON report (default: stdout)")
 

@@ -2,8 +2,9 @@
 
 Everything here is driven by explicit seeds through :func:`refac.rng.stream`,
 so a study is reproducible bit for bit: rerunning with the same seed -- on
-any number of worker threads -- yields the identical report.  Wall-clock timing is carried alongside the results
-but never enters the deterministic content.
+any number of worker threads -- yields the identical report.  Wall-clock
+timing is carried alongside the results but never enters the deterministic
+content.
 
 Substream layout (first path component is a namespace tag):
 
