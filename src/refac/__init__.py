@@ -8,20 +8,15 @@ compare criteria against theory.
 """
 
 from .asymptotic import (AsymptoticLaw, CorrelationProfile, LawComponent,
-                         commutation_gap, correlation_profile, quantile_threshold,
-                         quantile_thresholds, simulate_law,
+                         correlation_profile, quantile_threshold, simulate_law,
                          truncated_gaussian_sample, variance_reduction)
 from .balance import (BalanceCriterion, BalanceReport, CompleteRandomization,
                       CriterionEngine, CriterionPlan, EffectTierCriterion,
                       GridTierCriterion, MahalanobisCriterion,
-                      covariate_diff_in_means, criterion_cutoffs,
-                      criterion_dimensions, criterion_plan,
-                      imbalance_covariance, mahalanobis_effect_tiers,
-                      mahalanobis_overall, thresholds_from_probability)
-from .chisq import (chi2_cdf, chi2_quantile, regularized_gamma_p,
-                    truncation_variance_factor)
-from .confidence import (DEFAULT_LAW_DRAWS, ConfidenceSet, confidence_set,
-                         covariance_estimate, estimated_law)
+                      criterion_cutoffs, criterion_dimensions, criterion_plan,
+                      thresholds_from_probability)
+from .chisq import chi2_cdf, chi2_quantile, truncation_variance_factor
+from .confidence import DEFAULT_LAW_DRAWS, ConfidenceSet, confidence_set, estimated_law
 from .design import (CovariateTierPartition, EffectTierPartition,
                      FactorialStructure, GroupSizes, TieredCoefficients,
                      TierGrid, build_structure, coefficient_gram,
@@ -41,9 +36,8 @@ from .simlab import (CovariateColumn, OutcomeRecipe, Population,
                      binary_column, education_like, generate_population,
                      normal_column, replicate, report_rows, report_to_dict,
                      tradeoff_sweep, uniform_column)
-from .truth import (PopulationTruth, criterion_profile, law_from_truth,
-                    overall_profile, pairwise_explained, population_truth)
+from .truth import PopulationTruth, criterion_profile, law_from_truth, population_truth
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
-from .chisq import truncation_variance_factor  # noqa: F401  (re-exported)
+from .chisq import truncation_variance_factor
 from .design import CONTRAST_BUDGET_BYTES
 from .errors import SingularMatrixError, ValidationError
 from .linalg import PSD_EIG_FLOOR, sym_inv_sqrt
@@ -329,27 +329,6 @@ def variance_reduction(profile: CorrelationProfile, dims, cutoffs) -> np.ndarray
     return out
 
 
-def commutation_gap(total_cov: np.ndarray,
-                    explained: Sequence[np.ndarray]) -> float:
-    """Largest normalized commutator among the standardized explained parts.
-
-    A gap near zero means the components are simultaneously diagonalizable
-    in the standardized metric, the regime in which tighter cutoffs are
-    guaranteed to shrink quantile thresholds componentwise.
-    """
-    isqrt = sym_inv_sqrt(np.asarray(total_cov, dtype=float),
-                         name="total effect covariance")
-    mats = [isqrt @ np.asarray(w, dtype=float) @ isqrt for w in explained]
-    gap = 0.0
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            comm = mats[a] @ mats[b] - mats[b] @ mats[a]
-            scale = np.linalg.norm(mats[a]) * np.linalg.norm(mats[b])
-            if scale > 0.0:
-                gap = max(gap, float(np.linalg.norm(comm) / scale))
-    return gap
-
-
 # ---------------------------------------------------------------------------
 # quantile thresholds
 
@@ -397,23 +376,11 @@ def quadratic_form_samples(law: AsymptoticLaw, contrast: np.ndarray | None,
     return np.concatenate(out)
 
 
-def quantile_thresholds(law: AsymptoticLaw, contrast: np.ndarray | None,
-                        shape: np.ndarray, alphas: Sequence[float],
-                        rng: np.random.Generator, draws: int) -> np.ndarray:
-    """1-alpha quantiles of the standardized quadratic form, one per alpha.
-
-    All alphas share a single batch of draws, so thresholds are nested:
-    smaller alpha can never produce a smaller threshold.
-    """
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
-    if np.any((alphas <= 0.0) | (alphas >= 1.0)):
-        raise ValidationError("alpha levels must lie strictly inside (0, 1)")
-    samples = quadratic_form_samples(law, contrast, shape, rng, draws)
-    return np.quantile(samples, 1.0 - alphas)
-
-
 def quantile_threshold(law: AsymptoticLaw, contrast: np.ndarray | None,
                        shape: np.ndarray, alpha: float,
                        rng: np.random.Generator, draws: int) -> float:
     """1-alpha quantile of the standardized quadratic form under the law."""
-    return float(quantile_thresholds(law, contrast, shape, [alpha], rng, draws)[0])
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must lie strictly inside (0, 1), got {alpha}")
+    return float(np.quantile(quadratic_form_samples(law, contrast, shape, rng, draws),
+                             1.0 - alpha))

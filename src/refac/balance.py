@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -39,10 +38,10 @@ import numpy as np
 from . import chisq
 from .asymptotic import LawComponent
 from .design import (CovariateTierPartition, EffectTierPartition, FactorialStructure,
-                     GroupSizes, TieredCoefficients, TierGrid, coefficient_gram,
-                     orthogonalize_covariates, orthogonalize_effects)
+                     GroupSizes, TieredCoefficients, TierGrid, orthogonalize_covariates,
+                     orthogonalize_effects)
 from .errors import ValidationError
-from .linalg import KroneckerPSD, population_covariance, sym_inv_sqrt
+from .linalg import population_covariance, sym_inv_sqrt
 
 
 @dataclass(frozen=True)
@@ -140,9 +139,11 @@ class CriterionPlan:
     labels: tuple[str, ...]
     cell_labels: tuple[str, ...]
 
-    @cached_property
+    @property
     def tiered(self) -> TieredCoefficients:
-        """The orthogonalized effect tiers; needs the group sizes."""
+        """The orthogonalized effect tiers; needs the group sizes.  Like
+        :attr:`whitened_rows`, it is built on each read, so an engine's plan
+        keeps no F x Q copy."""
         if self.sizes is None:
             raise ValidationError("effect tiers need the group sizes")
         return orthogonalize_effects(self.structure, self.sizes, self.effect_partition)
@@ -176,7 +177,7 @@ class CriterionPlan:
                                  name=f"{self.covariate_label(t)} covariance")
             for t, block in enumerate(blocks)])
 
-    @cached_property
+    @property
     def whitened_rows(self) -> np.ndarray:
         """``tiered.coeffs`` with each effect tier's rows multiplied by the
         inverse square root of its Gram block."""
@@ -345,65 +346,6 @@ def stacked_cross(structure: FactorialStructure, group_sizes, left_rows: np.ndar
     return 4.0 ** (1 - structure.k) * blocks.reshape(blocks.shape[0], left_rows.shape[0], -1)
 
 
-def covariate_diff_in_means(x: np.ndarray, codes: np.ndarray,
-                            structure: FactorialStructure) -> np.ndarray:
-    """Stacked difference-in-means vector of the covariates.
-
-    Entry block f (length L) is the estimated "effect" of the design on
-    each covariate, stacked effect by effect in the structure's order.
-    """
-    xbar = group_means(x, codes, structure.q_count)
-    return (structure.scale * structure.contrasts @ xbar).reshape(-1)
-
-
-def orthogonalized_diff_in_means(x: np.ndarray, codes: np.ndarray,
-                                 structure: FactorialStructure,
-                                 tiered: TieredCoefficients) -> np.ndarray:
-    """Stacked difference-in-means built from tier-orthogonalized coefficients.
-
-    Blocks follow the tier order of ``tiered``; with equal group sizes this
-    is just a row reordering of :func:`covariate_diff_in_means`.
-    """
-    xbar = group_means(x, codes, structure.q_count)
-    return (structure.scale * tiered.coeffs @ xbar).reshape(-1)
-
-
-def imbalance_covariance(structure: FactorialStructure, sizes: GroupSizes,
-                         covariate_cov: np.ndarray) -> KroneckerPSD:
-    """Sampling covariance of the stacked difference-in-means vector.
-
-    Kronecker product of the coefficient Gram matrix (effect side) and the
-    finite-population covariate covariance; kept in factored form so the
-    inverse and inverse square root never touch the stacked dimension.
-    """
-    return KroneckerPSD(coefficient_gram(structure, sizes),
-                        np.asarray(covariate_cov, dtype=float),
-                        name="imbalance covariance")
-
-
-def mahalanobis_overall(diffs: np.ndarray, imbalance: KroneckerPSD) -> float:
-    """Overall Mahalanobis imbalance statistic."""
-    return float(imbalance.inv_quadform(diffs))
-
-
-def mahalanobis_effect_tiers(theta: np.ndarray, tiered: TieredCoefficients,
-                             covariate_cov: np.ndarray) -> np.ndarray:
-    """Per-tier Mahalanobis statistics from orthogonalized differences.
-
-    ``theta`` is the output of :func:`orthogonalized_diff_in_means`.  The
-    statistics are exactly uncorrelated across tiers by construction of the
-    orthogonalized coefficients.
-    """
-    cov = np.asarray(covariate_cov, dtype=float)
-    l_count = cov.shape[0]
-    stats = np.empty(tiered.tier_count)
-    for h, (block, s) in enumerate(zip(tiered.gram_blocks, tiered.block_slices)):
-        piece = np.asarray(theta)[s.start * l_count:s.stop * l_count]
-        stats[h] = KroneckerPSD(block, cov, name=f"tier {h + 1} imbalance covariance"
-                                ).inv_quadform(piece)
-    return stats
-
-
 # ---------------------------------------------------------------------------
 # batched evaluation
 
@@ -443,7 +385,6 @@ class CriterionEngine:
         self.structure = structure
         self.sizes = sizes
         self.criterion = criterion
-        self.covariate_count = x.shape[1]
         self.plan = plan = criterion_plan(criterion, structure, sizes, x.shape[1])
         self._dims = plan.limit_dims
         self._cutoffs = plan.limits

@@ -16,22 +16,13 @@ from .errors import ValidationError
 QUANTILE_TOL = 1e-10
 
 
-def regularized_gamma_p(shape: float, x: float) -> float:
-    """Lower regularized incomplete gamma ``P(shape, x)``."""
-    if shape <= 0.0:
-        raise ValidationError(f"gamma shape must be positive, got {shape}")
-    if x < 0.0:
-        raise ValidationError(f"gamma argument must be nonnegative, got {x}")
-    return float(special.gammainc(shape, x))
-
-
 def chi2_cdf(x: float, df: int) -> float:
     """P(chi^2_df <= x)."""
     if df < 1:
         raise ValidationError(f"chi-square df must be >= 1, got {df}")
     if x <= 0.0:
         return 0.0
-    return regularized_gamma_p(0.5 * df, 0.5 * x)
+    return float(special.gammainc(0.5 * df, 0.5 * x))
 
 
 def chi2_quantile(p: float, df: int) -> float:

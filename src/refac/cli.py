@@ -635,7 +635,10 @@ def _parse_population(cfg, path: str) -> tuple[PopulationSpec, GroupSizes, dict]
             if default is None and name not in c:
                 raise ValidationError(f"{context}: {kind} column needs {name!r}")
             values.append(_as_number(c.get(name, default), f"{context}: {name}"))
-        columns.append(CovariateColumn(kind, *values))
+        try:
+            columns.append(CovariateColumn(kind, *values))
+        except ValidationError as exc:  # say which column of the file
+            raise ValidationError(f"{context}: {exc}") from None
 
     oc = cfg["outcome"]
     _check_keys(oc, {"intercepts", "slopes", "noise_scales", "additive", "clamp"},
@@ -753,13 +756,12 @@ def main(argv=None) -> int:
         return EXIT_OK
     except MaxDrawsExceeded as exc:
         print(f"refac: {exc}", file=sys.stderr)
-        if exc.best_report is not None:
-            print(f"  nearest miss reached {exc.best_ratio:.4f} x its cutoff:",
-                  file=sys.stderr)
-            for name, value in exc.best_report.values.items():
-                limit = exc.best_report.limits.get(name)
-                against = "" if limit is None else f" (cutoff {limit:.6g})"
-                print(f"    {name} = {value:.6g}{against}", file=sys.stderr)
+        print(f"  nearest miss reached {exc.best_ratio:.4f} x its cutoff:",
+              file=sys.stderr)
+        for name, value in exc.best_report.values.items():
+            limit = exc.best_report.limits.get(name)
+            against = "" if limit is None else f" (cutoff {limit:.6g})"
+            print(f"    {name} = {value:.6g}{against}", file=sys.stderr)
         return EXIT_MAX_DRAWS
     except SingularMatrixError as exc:
         print(f"refac: numerical failure: {exc}", file=sys.stderr)

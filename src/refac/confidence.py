@@ -20,8 +20,7 @@ import numpy as np
 from .asymptotic import AsymptoticLaw, quantile_threshold, validate_contrast, validate_law_draws
 from .balance import BalanceCriterion
 from .design import FactorialStructure, GroupSizes
-from .errors import ValidationError
-from .estimate import (SampleMoments, effect_estimates, projection_coefficients,
+from .estimate import (effect_estimates, projection_coefficients,
                        residual_covariance_estimate, sample_moments)
 from .linalg import sym_inverse
 from .rerandomize import Assignment
@@ -54,30 +53,11 @@ class ConfidenceSet:
         return np.column_stack([self.center - half, self.center + half])
 
 
-def covariance_estimate(residual_cov: np.ndarray, components,
-                        contrast: np.ndarray | None = None) -> np.ndarray:
-    """Conservative covariance estimate of the contrasted effect estimator.
-
-    Residual part plus, for each balance component, its truncation variance
-    factor times the outer product of the estimated coefficient.  With no
-    truncation this reduces to the classical covariate-ignoring estimate.
-    """
-    residual_cov = np.asarray(residual_cov, dtype=float)
-    law = AsymptoticLaw(base_cov=residual_cov, components=tuple(components))
-    total = law.covariance()
-    if contrast is None:
-        return total
-    contrast = validate_contrast(contrast, total.shape[0])
-    return contrast @ total @ contrast.T
-
-
 def estimated_law(y_obs: np.ndarray, x: np.ndarray, assignment: Assignment,
                   structure: FactorialStructure, sizes: GroupSizes,
-                  criterion: BalanceCriterion,
-                  moments: SampleMoments | None = None) -> AsymptoticLaw:
+                  criterion: BalanceCriterion) -> AsymptoticLaw:
     """Plug-in estimate of the asymptotic law of ``tau_hat - tau``."""
-    if moments is None:
-        moments = sample_moments(y_obs, x, assignment)
+    moments = sample_moments(y_obs, x, assignment)
     base = residual_covariance_estimate(moments, structure)
     components = projection_coefficients(y_obs, x, assignment, structure, sizes,
                                          criterion, moments=moments)
@@ -96,8 +76,6 @@ def confidence_set(y_obs: np.ndarray, x: np.ndarray, assignment: Assignment,
     reproducibility matters.  The set carries the :func:`estimated_law` it
     was calibrated on.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie strictly inside (0, 1), got {alpha}")
     validate_law_draws(draws)
     if contrast is not None:
         contrast = validate_contrast(contrast, structure.f_count)

@@ -42,7 +42,8 @@ from .rerandomize import rerandomize
 from .rng import stream
 from .truth import law_from_truth, population_truth
 
-_COLUMN_KINDS = ("normal", "binary", "uniform")
+#: each column kind's parameter names, in (a, b) order
+_COLUMN_KINDS = {"normal": ("mean", "sd"), "binary": ("rate",), "uniform": ("low", "high")}
 
 #: name reserved for the built-in unrestricted-randomization baseline
 BASELINE_NAME = "complete"
@@ -55,12 +56,16 @@ RANGE_QUANTILE = 0.95
 # synthetic populations
 
 
-def _floats(value, label: str) -> np.ndarray:
-    """``value`` as a float array; a string, mapping or ragged list is refused."""
+def _floats(value, label: str, finite: bool = True) -> np.ndarray:
+    """``value`` as a float array; a string, mapping or ragged list is refused,
+    and so is a NaN or an infinity unless ``finite`` is off."""
     try:
-        return np.asarray(value, dtype=float)
+        out = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ValidationError(f"{label} must be numbers, got {value!r}") from None
+    if finite and not np.isfinite(out).all():
+        raise ValidationError(f"{label} must be finite, got {value!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -78,9 +83,12 @@ class CovariateColumn:
     b: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in _COLUMN_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _COLUMN_KINDS:
             raise ValidationError(
-                f"column kind must be one of {_COLUMN_KINDS}, got {self.kind!r}")
+                f"column kind must be one of {tuple(_COLUMN_KINDS)}, got {self.kind!r}")
+        for name, value in zip(_COLUMN_KINDS[self.kind], (self.a, self.b)):
+            if not math.isfinite(value):
+                raise ValidationError(f"{self.kind} column {name} must be finite, got {value}")
         if self.kind == "normal" and not self.b > 0.0:
             raise ValidationError(f"normal column needs sd > 0, got {self.b}")
         if self.kind == "binary" and not 0.0 < self.a < 1.0:
@@ -139,7 +147,7 @@ class OutcomeRecipe:
         object.__setattr__(self, "noise_scales",
                            float(noise) if noise.ndim == 0 else tuple(noise.tolist()))
         if self.clamp is not None:
-            bounds = _floats(self.clamp, "clamp")
+            bounds = _floats(self.clamp, "clamp", finite=False)  # one side may be open
             if bounds.shape != (2,):
                 raise ValidationError(f"clamp must be [lo, hi], got {self.clamp!r}")
             lo, hi = bounds.tolist()
@@ -509,8 +517,12 @@ def replicate(population: Population, structure: FactorialStructure,
     ``workers`` in all (default: the usable CPUs); reports do not depend on it.
     """
     started = time.perf_counter()
-    if reps < 2:
-        raise ValidationError(f"need at least 2 replications, got {reps}")
+    # the task loop keeps reps effect-estimate vectors of F floats per design
+    reps_cap = CONTRAST_BUDGET_BYTES // 8 // ((len(designs) + 1) * structure.f_count)
+    if not 2 <= reps <= reps_cap:
+        raise ValidationError(
+            f"reps must lie in [2, {reps_cap}] for {len(designs) + 1} designs (the "
+            f"baseline included) and {structure.f_count} effects, got {reps}")
     if workers is not None and workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     # simulate_law returns a (theory_draws, F) float array
@@ -611,8 +623,8 @@ def report_rows(report: ReplicationReport) -> list[dict]:
     return rows
 
 
-def report_to_dict(report: ReplicationReport, include_timing: bool = False) -> dict:
-    """JSON-ready dictionary form of a report."""
+def report_to_dict(report: ReplicationReport) -> dict:
+    """JSON-ready dictionary form of a report, without its timing."""
     def design_dict(res: DesignResult) -> dict:
         out = {}
         for item in fields(res):
@@ -620,7 +632,7 @@ def report_to_dict(report: ReplicationReport, include_timing: bool = False) -> d
             out[item.name] = value.tolist() if isinstance(value, np.ndarray) else value
         return out
 
-    out = {
+    return {
         "seed": report.seed,
         "reps": report.reps,
         "n": report.n,
@@ -633,9 +645,6 @@ def report_to_dict(report: ReplicationReport, include_timing: bool = False) -> d
         "theory_draws": report.theory_draws,
         "designs": [design_dict(r) for r in report.all_results()],
     }
-    if include_timing:
-        out["timing_seconds"] = report.timing_seconds
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotic import AsymptoticLaw, CorrelationProfile, correlation_profile
+from .asymptotic import AsymptoticLaw, CorrelationProfile
 from .balance import BalanceCriterion, criterion_plan, stacked_cross
 from .design import FactorialStructure, GroupSizes, coefficient_gram
 from .errors import ValidationError
@@ -106,31 +106,7 @@ def population_truth(x: np.ndarray, potential: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# pairwise explained shares
-
-
-def pairwise_explained(truth: PopulationTruth) -> np.ndarray:
-    """Squared multiple correlation of each effect with each effect's
-    covariate difference-in-means block: entry (f, k) regresses effect f on
-    the k-th block of the stacked covariate contrasts."""
-    f_count = truth.structure.f_count
-    l_count = truth.covariate_count
-    sxx_inv = sym_inverse(truth.covariate_cov, name="covariate covariance")
-    out = np.empty((f_count, f_count))
-    diag = np.diag(truth.total_cov)
-    for k in range(f_count):
-        block = truth.cross_cov[:, k * l_count:(k + 1) * l_count]
-        quad = np.einsum("fl,lm,fm->f", block, sxx_inv, block)
-        out[:, k] = quad / (truth.gram[k, k] * diag)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # profiles and exact asymptotic laws
-
-
-def overall_profile(truth: PopulationTruth) -> CorrelationProfile:
-    return correlation_profile(truth.total_cov, [truth.explained_cov])
 
 
 def criterion_profile(x: np.ndarray, potential: np.ndarray,

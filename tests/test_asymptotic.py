@@ -8,12 +8,10 @@ import pytest
 import scipy.stats
 
 from refac.asymptotic import (AsymptoticLaw, CorrelationProfile, LawComponent,
-                              _radius_plan,
-                              commutation_gap, correlation_profile,
+                              _radius_plan, correlation_profile,
                               quadratic_form_samples, quantile_threshold,
-                              quantile_thresholds, simulate_law,
-                              truncated_gaussian_sample, validate_contrast,
-                              variance_reduction)
+                              simulate_law, truncated_gaussian_sample,
+                              validate_contrast, variance_reduction)
 from refac.chisq import chi2_quantile, truncation_variance_factor
 from refac.design import CONTRAST_BUDGET_BYTES
 from refac.errors import SingularMatrixError, ValidationError
@@ -270,17 +268,6 @@ def test_variance_reduction_validates_lengths():
         variance_reduction(profile, [2, 2], [1.0, 1.0])
 
 
-def test_commutation_gap():
-    total = np.eye(2)
-    w1 = np.diag([0.5, 0.1])
-    w2 = np.diag([0.2, 0.3])
-    assert commutation_gap(total, [w1, w2]) == pytest.approx(0.0, abs=1e-14)
-    rot = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
-    w3 = rot @ np.diag([0.5, 0.0]) @ rot.T
-    assert commutation_gap(total, [w1, w3]) > 0.01
-    assert commutation_gap(total, [w1]) == 0.0
-
-
 # ---------------------------------------------------------------------------
 # quantile thresholds
 
@@ -472,26 +459,22 @@ def test_law_draws_are_bounded_before_sampling():
             quadratic_form_samples(law, None, np.eye(2), stream(73, 19), draws)
 
 
-def test_quantile_thresholds_are_nested_and_scale_with_shape():
-    coef = 0.7 * np.vstack([np.eye(3), np.zeros((0, 3))])
-    law = AsymptoticLaw(base_cov=0.51 * np.eye(3), components=(
-        LawComponent(coef, 3, chi2_quantile(0.25, 3)),))
-    thr = quantile_thresholds(law, np.eye(3), np.eye(3), [0.2, 0.1, 0.05],
-                              stream(73, 2), 50_000)
-    assert thr[0] <= thr[1] <= thr[2]
-    scaled = quantile_thresholds(law, np.eye(3), 2.0 * np.eye(3),
-                                 [0.2, 0.1, 0.05], stream(73, 2), 50_000)
-    np.testing.assert_allclose(scaled, thr / 2.0, rtol=1e-12)
-    single = quantile_threshold(law, np.eye(3), np.eye(3), 0.1,
+def _threshold_law() -> AsymptoticLaw:
+    return AsymptoticLaw(base_cov=0.51 * np.eye(3), components=(
+        LawComponent(0.7 * np.eye(3), 3, chi2_quantile(0.25, 3)),))
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.1, 0.05])
+def test_quantile_threshold_scales_with_shape(alpha):
+    law = _threshold_law()
+    thr = quantile_threshold(law, np.eye(3), np.eye(3), alpha, stream(73, 2), 50_000)
+    scaled = quantile_threshold(law, np.eye(3), 2.0 * np.eye(3), alpha,
                                 stream(73, 2), 50_000)
-    assert single == pytest.approx(thr[1], rel=1e-12)
+    assert scaled == pytest.approx(thr / 2.0, rel=1e-12)
 
 
 def test_quantile_thresholds_validate_alpha():
     law = AsymptoticLaw(base_cov=np.eye(2), components=())
-    with pytest.raises(ValidationError):
-        quantile_thresholds(law, np.eye(2), np.eye(2), [0.0],
-                            stream(73, 3), 100)
-    with pytest.raises(ValidationError):
-        quantile_thresholds(law, np.eye(2), np.eye(2), [1.0],
-                            stream(73, 3), 100)
+    for alpha in (0.0, 1.0):
+        with pytest.raises(ValidationError, match="alpha"):
+            quantile_threshold(law, np.eye(2), np.eye(2), alpha, stream(73, 3), 100)

@@ -1,5 +1,7 @@
 """Balance criteria, imbalance statistics, and the batched engine."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -9,12 +11,9 @@ from hypothesis import strategies as st
 from refac.balance import (BalanceReport, CompleteRandomization,
                            CriterionEngine, EffectTierCriterion,
                            GridTierCriterion, MahalanobisCriterion,
-                           batch_group_means, covariate_diff_in_means,
-                           criterion_cutoffs, criterion_dimensions,
-                           criterion_plan, group_means, imbalance_covariance,
-                           mahalanobis_effect_tiers, mahalanobis_overall,
-                           orthogonalized_diff_in_means, stacked_cross,
-                           thresholds_from_probability)
+                           batch_group_means, criterion_cutoffs,
+                           criterion_dimensions, criterion_plan, group_means,
+                           stacked_cross, thresholds_from_probability)
 from refac.design import (CovariateTierPartition, EffectTierPartition,
                           GroupSizes, TierGrid, build_structure,
                           coefficient_gram, orthogonalize_covariates,
@@ -22,6 +21,9 @@ from refac.design import (CovariateTierPartition, EffectTierPartition,
 from refac.errors import ValidationError
 from refac.rerandomize import draw_assignment_batch
 from refac.rng import stream
+from oracles import (covariate_diff_in_means, imbalance_covariance,
+                     mahalanobis_effect_tiers, mahalanobis_overall,
+                     orthogonalized_diff_in_means)
 from test_invariances import designs, partitions
 
 
@@ -369,6 +371,23 @@ def test_criterion_plan_cells_groups_and_labels():
     assert grid.groups == ((0,), (1, 2, 3))
     assert grid.cell_labels == ("cell_1_1", "cell_1_2", "cell_2_1", "cell_2_2")
     assert grid.labels == ("group_1", "group_2") and grid.dims == (2, 7)
+
+
+def test_engine_retains_one_projection_of_the_plan():
+    # one F x Q whitened projection; the plan caches no tiered coefficients,
+    # Gram block or whitened rows
+    s = build_structure(8)
+    sizes = GroupSizes.equal(s.q_count, 2 * s.q_count)
+    x = stream(31, 60).standard_normal((sizes.n, 2))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        engine = CriterionEngine(x, s, sizes, MahalanobisCriterion(5.0))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert engine.plan.cells == ((0, 0),)  # the engine is still alive here
+    assert retained < 2 * s.f_count * s.q_count * 8
 
 
 def test_engine_acceptance_probability_is_product_of_tier_masses():

@@ -9,26 +9,18 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from refac.chisq import (QUANTILE_TOL, chi2_cdf, chi2_quantile,
-                         regularized_gamma_p, truncation_variance_factor)
+                         truncation_variance_factor)
 from refac.errors import ValidationError
 
 DFS = (1, 2, 3, 4, 5, 6, 8, 10, 20, 50, 100, 250)
 
 
-def test_regularized_gamma_matches_scipy():
-    shapes = (0.5, 1.0, 1.5, 2.0, 5.0, 12.5, 50.0, 125.0)
-    for s in shapes:
+def test_cdf_is_the_regularized_gamma_at_half_shape():
+    # P(chi^2_df <= x) = P(df / 2, x / 2)
+    for s in (0.5, 1.0, 1.5, 2.0, 5.0, 12.5, 50.0, 125.0):
         for x in np.linspace(1e-8, 6.0 * s, 40):
-            assert regularized_gamma_p(s, float(x)) == pytest.approx(
+            assert chi2_cdf(2.0 * float(x), int(2 * s)) == pytest.approx(
                 special.gammainc(s, x), abs=1e-13)
-
-
-def test_regularized_gamma_edge_cases():
-    assert regularized_gamma_p(3.0, 0.0) == 0.0
-    with pytest.raises(ValidationError):
-        regularized_gamma_p(0.0, 1.0)
-    with pytest.raises(ValidationError):
-        regularized_gamma_p(1.0, -0.5)
 
 
 def test_cdf_matches_scipy_on_grid():

@@ -482,10 +482,10 @@ def test_simulate_validation(tmp_path, capsys, monkeypatch):
     pop, _ = _simulation_configs(tmp_path)
     out = str(tmp_path / "o.json")
 
-    def run(designs_payload):
+    def run(designs_payload, reps="4"):
         designs = _write_json(tmp_path / "d.json", designs_payload)
         code = main(["simulate", "--population", pop, "--designs", designs,
-                     "--reps", "4", "--out-json", out])
+                     "--reps", reps, "--out-json", out])
         return code, capsys.readouterr().err
 
     code, err = run({"designs": [], "seed": 1})
@@ -518,6 +518,12 @@ def test_simulate_validation(tmp_path, capsys, monkeypatch):
         "seed": 1, "theory_draws": 10 ** 10})
     assert code == 2
     assert "theory_draws must lie in [1000, 11184810] for 3 effects, got 10000000000" in err
+
+    # 10^11 reps of 2 designs would keep 4.8 TB of estimates: refused first
+    monkeypatch.setattr(importlib.import_module("refac.simlab"), "population_truth", None)
+    code, err = run({"designs": [{"name": "a", "criterion": {"type": "overall", "p": 0.5}}],
+                     "seed": 1}, reps="100000000000")
+    assert code == 2 and "reps must lie in [2, 5592405] for 2 designs" in err
 
 
 def test_simulate_budget_exhausted_exits_alike_on_threads(tmp_path):
@@ -711,7 +717,9 @@ def test_design_rejects_malformed_criteria(tmp_path, capsys, criterion, message)
     ({"kind": "poisson", "rate": 2.0},
      "columns[2]: unknown kind 'poisson'; expected normal, binary, or uniform"),
     ({"kind": "binary"}, "columns[2]: binary column needs 'rate'"),
-], ids=["unknown-kind", "binary-without-rate"])
+    ({"kind": "normal", "mean": math.nan},
+     "columns[2]: normal column mean must be finite, got nan"),
+], ids=["unknown-kind", "binary-without-rate", "nan-mean"])
 def test_simulate_rejects_malformed_columns(tmp_path, capsys, column, message):
     _, designs = _simulation_configs(tmp_path)
     pop = _write_json(tmp_path / "bad_pop.json", {
@@ -730,7 +738,9 @@ def test_simulate_rejects_malformed_columns(tmp_path, capsys, column, message):
     ({"outcome": {"noise_scales": ["a", "b"]}}, "noise_scales must be numbers, got ['a', 'b']"),
     ({"correlation": "x"}, "correlation must be numbers, got 'x'"),
     ({"outcome": {"additive": "no"}}, "additive must be true or false, got 'no'"),
-], ids=["slopes", "clamp", "noise-scales", "correlation", "additive"])
+    ({"outcome": {"intercepts": [math.inf, 0.5, 1.0, 1.5]}},
+     "intercepts must be finite, got (inf, 0.5, 1.0, 1.5)"),
+], ids=["slopes", "clamp", "noise-scales", "correlation", "additive", "infinite-intercept"])
 def test_simulate_rejects_population_values_of_the_wrong_type(tmp_path, capsys, change,
                                                               message):
     _, designs = _simulation_configs(tmp_path)

@@ -8,8 +8,7 @@ from refac.balance import (CompleteRandomization, MahalanobisCriterion,
                            thresholds_from_probability)
 from refac.chisq import chi2_quantile
 from refac.confidence import (DEFAULT_LAW_DRAWS, ConfidenceSet,
-                              confidence_set, covariance_estimate,
-                              estimated_law)
+                              confidence_set, estimated_law)
 from refac.design import GroupSizes, build_structure
 from refac.errors import ValidationError
 from refac.estimate import (projection_coefficients,
@@ -55,15 +54,7 @@ def test_confidence_set_contains_and_intervals():
 
 
 # ---------------------------------------------------------------------------
-# covariance estimates and the estimated law
-
-
-def test_covariance_estimate_reduces_to_residual_without_components():
-    resid = np.array([[2.0, 0.3], [0.3, 1.0]])
-    np.testing.assert_array_equal(covariance_estimate(resid, ()), resid)
-    contrast = np.array([[1.0, -1.0]])
-    np.testing.assert_allclose(covariance_estimate(resid, (), contrast),
-                               [[2.0 + 1.0 - 0.6]])
+# the estimated law
 
 
 def test_estimated_law_assembles_moment_pieces():
@@ -72,15 +63,13 @@ def test_estimated_law_assembles_moment_pieces():
     y = _observed(potential, a)
     m = sample_moments(y, x, a)
     crit = MahalanobisCriterion(4.0)
-    law = estimated_law(y, x, a, s, sizes, crit, moments=m)
+    law = estimated_law(y, x, a, s, sizes, crit)
     np.testing.assert_array_equal(law.base_cov,
                                   residual_covariance_estimate(m, s))
     comps = projection_coefficients(y, x, a, s, sizes, crit, moments=m)
     assert len(law.components) == 1
     np.testing.assert_array_equal(law.components[0].coef, comps[0].coef)
     assert law.components[0].cutoff == 4.0
-    total = covariance_estimate(law.base_cov, law.components)
-    np.testing.assert_allclose(total, law.covariance(), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

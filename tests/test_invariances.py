@@ -5,8 +5,11 @@ criterion is the 1 x 1 grid and the effect-tier criterion the 1 x H grid.
 These tests pin the engine statistics and both law builders to that view,
 and the statistics to their affine and relabelling invariances.  The
 simulated law of every criterion kind is held to its covariance and to its
-symmetry, within Monte Carlo error.
+symmetry, within Monte Carlo error, and the estimated law's base, at
+population moments, to its conservativeness.
 """
+
+import dataclasses
 
 import numpy as np
 from hypothesis import given, settings
@@ -18,10 +21,11 @@ from refac.balance import (CompleteRandomization, CriterionEngine,
                            MahalanobisCriterion)
 from refac.design import (CovariateTierPartition, EffectTierPartition,
                           GroupSizes, TierGrid, build_structure)
-from refac.estimate import projection_coefficients
+from refac.estimate import (projection_coefficients, residual_covariance_estimate,
+                            sample_moments)
 from refac.rerandomize import Assignment, draw_assignment_batch
 from refac.rng import stream
-from refac.truth import law_from_truth
+from refac.truth import law_from_truth, population_truth
 
 PROPERTY = settings(max_examples=25, deadline=None)
 
@@ -258,3 +262,31 @@ def test_simulated_law_gives_a_ball_and_its_reflection_equal_mass(data):
         reflected = np.linalg.norm(sample + center, axis=1) <= radius
         diff = inside.astype(float) - reflected
         assert abs(diff.mean()) <= Z * diff.std() / np.sqrt(LAW_DRAWS)
+
+
+@PROPERTY
+@given(data=st.data(), additive=st.booleans())
+def test_residual_estimate_at_population_moments_is_conservative(data, additive):
+    # with each group's residual variance at its population value (of the
+    # potential outcomes less the population linear fit on x), the estimated
+    # base covariance exceeds the true one by the PSD covariance of the
+    # residual unit effects, zero for an additive outcome: criterion 08's
+    # conservative and tight regimes
+    structure, sizes, x, codes, rng = data.draw(designs())
+    potential = _potential(rng, x, structure.q_count)
+    if additive:  # one slope vector and one noise column for every arm
+        potential = potential[:, :1] + rng.standard_normal(structure.q_count)
+    design = np.column_stack([np.ones(sizes.n), x])
+    residuals = potential - design @ np.linalg.lstsq(design, potential, rcond=None)[0]
+    moments = dataclasses.replace(
+        sample_moments(potential[np.arange(sizes.n), codes[0]], x,
+                       Assignment(codes=codes[0], q_count=structure.q_count)),
+        residual_variances=residuals.var(axis=0, ddof=1))
+    truth = population_truth(x, potential, structure, sizes).residual_cov
+    gap = residual_covariance_estimate(moments, structure) - truth
+    scale = np.abs(truth).max()
+    if additive:
+        assert np.abs(gap).max() <= 1e-12 * scale
+    else:  # each arm's own noise makes the residual unit effects vary
+        assert np.linalg.eigvalsh(gap)[0] >= -1e-12 * scale
+        assert np.trace(gap) > 0.01 * scale

@@ -43,6 +43,10 @@ def test_column_constructors_and_validation():
         binary_column(1.0)
     with pytest.raises(ValidationError):
         uniform_column(2.0, 2.0)
+    for kind, a, b in (("normal", 0.0, math.inf), ("binary", math.nan, 1.0),
+                       ("uniform", -math.inf, 1.0)):
+        with pytest.raises(ValidationError, match="must be finite"):
+            CovariateColumn(kind, a, b)
 
 
 def test_outcome_recipe_tables():
@@ -69,9 +73,13 @@ def test_outcome_recipe_tables():
                       noise_scales=-1.0).noise_table(1)
     for bad in ({"intercepts": "ab"}, {"intercepts": 5}, {"slopes": "x"},
                 {"clamp": 5}, {"clamp": ("a", "b")},
-                {"noise_scales": ("a", "b")}, {"noise_scales": ((1.0,), (1.0,))}):
+                {"noise_scales": ("a", "b")}, {"noise_scales": ((1.0,), (1.0,))},
+                {"slopes": np.array([math.nan])}, {"noise_scales": (0.5, -math.inf)}):
         with pytest.raises(ValidationError):
             OutcomeRecipe(**{"intercepts": (0.0, 1.0), "slopes": np.zeros(1), **bad})
+    # an infinite clamp bound leaves that side open
+    assert OutcomeRecipe(intercepts=(0.0, 1.0), slopes=np.zeros(1),
+                         clamp=(0.0, math.inf)).clamp == (0.0, math.inf)
 
 
 def test_additivity_checks():
@@ -104,6 +112,8 @@ def test_population_spec_validation():
                        correlation=np.eye(2))
     with pytest.raises(ValidationError, match="correlation must be numbers"):
         PopulationSpec(n=10, k=1, columns=(col,), outcome=recipe, correlation="x")
+    with pytest.raises(ValidationError, match="correlation must be finite"):
+        PopulationSpec(n=10, k=1, columns=(col,), outcome=recipe, correlation=[[math.nan]])
     skew = np.array([[1.0, 0.5], [0.2, 1.0]])
     with pytest.raises(ValidationError, match="symmetric"):
         PopulationSpec(n=10, k=1, columns=(col, col), outcome=recipe,
@@ -311,8 +321,6 @@ def test_replicate_report_rows_layout():
     as_dict = report_to_dict(report)
     assert "timing_seconds" not in as_dict
     assert len(as_dict["designs"]) == 2
-    timed = report_to_dict(report, include_timing=True)
-    assert timed["timing_seconds"] == report.timing_seconds
 
 
 def test_replicate_coverage_path():
@@ -457,6 +465,19 @@ def test_theory_draws_are_bounded_by_the_law_sample_size(monkeypatch):
     assert CONTRAST_BUDGET_BYTES // 8 // build_structure(7).f_count >= 200_000
     with pytest.raises(ValidationError, match=r"\[1000, 131586\] for 255 effects"):
         replicate(pop, build_structure(8), sizes, [], reps=4, seed=1)
+
+
+def test_reps_are_bounded_by_the_estimate_table(monkeypatch):
+    # (designs + 1) x reps x F effect estimates must fit CONTRAST_BUDGET_BYTES;
+    # the count is refused before anything is built or allocated
+    module = importlib.import_module("refac.simlab")
+    for name in ("population_truth", "CriterionEngine", "_run_tasks"):
+        monkeypatch.setattr(module, name, None)
+    pop, s, sizes = _tiny_population()
+    cap = CONTRAST_BUDGET_BYTES // 8 // (2 * s.f_count)
+    for reps in (cap + 1, 10 ** 12):
+        with pytest.raises(ValidationError, match=rf"\[2, {cap}\] for 2 designs \(the baseline"):
+            replicate(pop, s, sizes, [_loose_design()], reps=reps, seed=1)
 
 
 def test_replicate_threads_are_capped_by_cpus_and_tasks(monkeypatch):

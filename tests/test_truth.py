@@ -13,8 +13,8 @@ from refac.design import (CovariateTierPartition, EffectTierPartition,
 from refac.errors import ValidationError
 from refac.linalg import KroneckerPSD, population_covariance
 from refac.rng import stream
-from refac.truth import (criterion_profile, law_from_truth, overall_profile,
-                         pairwise_explained, population_truth)
+from refac.truth import criterion_profile, law_from_truth, population_truth
+from oracles import overall_profile, pairwise_explained
 
 
 def _heterogeneous_population(seed, n=96, k=2, l_count=3,
