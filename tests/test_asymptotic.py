@@ -459,14 +459,10 @@ def test_law_draws_are_bounded_before_sampling():
             quadratic_form_samples(law, None, np.eye(2), stream(73, 19), draws)
 
 
-def _threshold_law() -> AsymptoticLaw:
-    return AsymptoticLaw(base_cov=0.51 * np.eye(3), components=(
-        LawComponent(0.7 * np.eye(3), 3, chi2_quantile(0.25, 3)),))
-
-
 @pytest.mark.parametrize("alpha", [0.2, 0.1, 0.05])
 def test_quantile_threshold_scales_with_shape(alpha):
-    law = _threshold_law()
+    law = AsymptoticLaw(base_cov=0.51 * np.eye(3), components=(
+        LawComponent(0.7 * np.eye(3), 3, chi2_quantile(0.25, 3)),))
     thr = quantile_threshold(law, np.eye(3), np.eye(3), alpha, stream(73, 2), 50_000)
     scaled = quantile_threshold(law, np.eye(3), 2.0 * np.eye(3), alpha,
                                 stream(73, 2), 50_000)
