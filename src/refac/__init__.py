@@ -16,7 +16,8 @@ from .balance import (BalanceCriterion, BalanceReport, CompleteRandomization,
                       criterion_cutoffs, criterion_dimensions, criterion_plan,
                       thresholds_from_probability)
 from .chisq import chi2_cdf, chi2_quantile, truncation_variance_factor
-from .confidence import DEFAULT_LAW_DRAWS, ConfidenceSet, confidence_set, estimated_law
+from .confidence import (DEFAULT_ALPHA, DEFAULT_LAW_DRAWS, ConfidenceSet, confidence_set,
+                         estimated_law)
 from .design import (CovariateTierPartition, EffectTierPartition,
                      FactorialStructure, GroupSizes, TieredCoefficients,
                      TierGrid, build_structure, coefficient_gram,
@@ -38,6 +39,6 @@ from .simlab import (CovariateColumn, OutcomeRecipe, Population,
                      tradeoff_sweep, uniform_column)
 from .truth import PopulationTruth, criterion_profile, law_from_truth, population_truth
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

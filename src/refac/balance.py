@@ -73,13 +73,7 @@ class EffectTierCriterion:
     thresholds: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "thresholds", tuple(float(a) for a in self.thresholds))
-        if len(self.thresholds) != len(self.partition):
-            raise ValidationError(
-                f"{len(self.partition)} effect tiers need {len(self.partition)} "
-                f"thresholds, got {len(self.thresholds)}")
-        for a in self.thresholds:
-            _check_threshold(a, "threshold")
+        _set_thresholds(self, len(self.partition), "effect tiers")
 
 
 @dataclass(frozen=True)
@@ -92,13 +86,7 @@ class GridTierCriterion:
     thresholds: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "thresholds", tuple(float(a) for a in self.thresholds))
-        if len(self.thresholds) != len(self.grid):
-            raise ValidationError(
-                f"{len(self.grid)} grid groups need {len(self.grid)} thresholds, "
-                f"got {len(self.thresholds)}")
-        for a in self.thresholds:
-            _check_threshold(a, "threshold")
+        _set_thresholds(self, len(self.grid), "grid groups")
         self.grid.validate(len(self.covariate_partition), len(self.effect_partition))
 
 
@@ -110,6 +98,17 @@ def _check_threshold(a, label: str) -> None:
     a = float(a)
     if not math.isfinite(a) or a <= 0.0:
         raise ValidationError(f"{label} must be positive and finite, got {a}")
+
+
+def _set_thresholds(criterion, count: int, what: str) -> None:
+    """Store ``criterion.thresholds`` as floats: one per each of ``count``
+    ``what``, each positive and finite."""
+    thresholds = tuple(float(a) for a in criterion.thresholds)
+    if len(thresholds) != count:
+        raise ValidationError(f"{count} {what} need {count} thresholds, got {len(thresholds)}")
+    for a in thresholds:
+        _check_threshold(a, "threshold")
+    object.__setattr__(criterion, "thresholds", thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +387,9 @@ class CriterionEngine:
         self.plan = plan = criterion_plan(criterion, structure, sizes, x.shape[1])
         self._dims = plan.limit_dims
         self._cutoffs = plan.limits
-        if not self._cutoffs.size:  # complete randomization thresholds nothing
+        self._groups = [list(cells) for cells, cutoff in zip(plan.groups, plan.cutoffs)
+                        if cutoff is not None]
+        if not self._groups:  # complete randomization thresholds nothing
             self._proj = None
             return
         self._z = plan.whiten(x)
@@ -413,12 +414,10 @@ class CriterionEngine:
         return cells.transpose(0, 2, 1).reshape(codes.shape[0], -1)
 
     def _sum_groups(self, raw: np.ndarray) -> np.ndarray:
-        """(B, n_statistics) sums of the cell statistics over each group."""
-        if self._proj is None:
-            return raw
-        out = np.empty((raw.shape[0], len(self.plan.groups)))
-        for j, cell_ids in enumerate(self.plan.groups):
-            out[:, j] = raw[:, list(cell_ids)].sum(axis=1)
+        """(B, n_statistics) sums of the cell statistics over each thresholded group."""
+        out = np.empty((raw.shape[0], len(self._groups)))
+        for j, cell_ids in enumerate(self._groups):
+            out[:, j] = raw[:, cell_ids].sum(axis=1)
         return out
 
     def grid_cells(self, codes: np.ndarray) -> np.ndarray:
@@ -435,15 +434,11 @@ class CriterionEngine:
 
     def accept(self, stats: np.ndarray) -> np.ndarray:
         """Boolean acceptance per batch row from :meth:`statistics` output."""
-        if stats.shape[1] == 0:
-            return np.ones(stats.shape[0], dtype=bool)
         return np.all(stats <= self._cutoffs, axis=1)
 
     def worst_ratio(self, stats: np.ndarray) -> np.ndarray:
         """Max statistic-to-cutoff ratio per row; 0 when nothing is thresholded."""
-        if stats.shape[1] == 0:
-            return np.zeros(stats.shape[0])
-        return (stats / self._cutoffs).max(axis=1)
+        return (stats / self._cutoffs).max(axis=1, initial=0.0)  # statistics are >= 0
 
     def report(self, codes: np.ndarray) -> BalanceReport:
         """Full balance report for a single assignment."""

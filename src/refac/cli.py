@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 import orjson
@@ -32,7 +32,7 @@ from .balance import (BalanceCriterion, CompleteRandomization, CriterionEngine,
                       EffectTierCriterion, GridTierCriterion,
                       MahalanobisCriterion, thresholds_from_probability)
 from .chisq import chi2_cdf, truncation_variance_factor
-from .confidence import DEFAULT_LAW_DRAWS, confidence_set
+from .confidence import DEFAULT_ALPHA, DEFAULT_LAW_DRAWS, confidence_set
 from .design import (CovariateTierPartition, EffectTierPartition,
                      FactorialStructure, GroupSizes, TierGrid, build_structure)
 from .errors import SingularMatrixError, ValidationError
@@ -40,8 +40,8 @@ from .estimate import effect_estimates
 from .rerandomize import (Assignment, MaxDrawsExceeded, default_max_draws,
                           rerandomize)
 from .rng import stream
-from .simlab import (CovariateColumn, OutcomeRecipe, PopulationSpec,
-                     education_like, generate_population, replicate,
+from .simlab import (COVERAGE_LAW_DRAWS, THEORY_DRAWS, CovariateColumn, OutcomeRecipe,
+                     PopulationSpec, education_like, generate_population, replicate,
                      report_rows, report_to_dict)
 
 SCHEMA_VERSION = 2
@@ -52,24 +52,12 @@ EXIT_MAX_DRAWS = 3
 EXIT_NUMERICAL = 4
 
 _RESERVED_COLUMNS = ("unit", "outcome", "assignment")
-_BUILTIN_POPULATIONS = ("education-like",)
-#: covariate column kinds: parameter -> default, None where it is required
-_COLUMN_PARAMS = {
-    "normal": {"mean": 0.0, "sd": 1.0},
-    "binary": {"rate": None},
-    "uniform": {"low": 0.0, "high": 1.0},
-}
+#: built-in populations: name -> function giving the spec and its group sizes
+_BUILTIN_POPULATIONS = {"education-like": education_like}
 
 
 # ---------------------------------------------------------------------------
 # low-level I/O helpers
-
-
-def _fmt(value) -> str:
-    """Cell formatting for CSV output: floats at 17 significant digits."""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
 
 
 def _open_out(path: str | None, binary: bool = False):
@@ -84,8 +72,8 @@ def _write_csv(path: str | None, header, rows) -> None:
     with _open_out(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        for row in rows:  # floats at 17 significant digits
+            writer.writerow([format(v, ".17g") if isinstance(v, float) else str(v) for v in row])
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -195,13 +183,12 @@ def _assignment_from_labels(labels: np.ndarray, sizes: GroupSizes,
         raise ValidationError(
             f"{path}: assignment label {labels[first]} at data row {first + 1} "
             f"is outside 1..{q}")
-    counts = np.bincount(labels - 1, minlength=q)
-    for qi in range(q):
-        if counts[qi] != sizes.counts[qi]:
+    assignment = Assignment.from_labels(labels, q)
+    for qi, (count, expected) in enumerate(zip(assignment.counts(), sizes.counts)):
+        if count != expected:
             raise ValidationError(
-                f"{path}: group {qi + 1} has {counts[qi]} units, config "
-                f"expects {sizes.counts[qi]}")
-    return Assignment(codes=(labels - 1).astype(np.int32), q_count=q)
+                f"{path}: group {qi + 1} has {count} units, config expects {expected}")
+    return assignment
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +205,15 @@ def _check_keys(spec: dict, allowed, context: str, required=()) -> None:
     for key in required:
         if key not in spec:
             raise ValidationError(f"{context}: missing required key {key!r}")
+
+
+@contextlib.contextmanager
+def _prefixed(context: str):
+    """Prefix a library :class:`ValidationError` with where in the file it arose."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{context}: {exc}") from None
 
 
 def _as_int(value, label: str) -> int:
@@ -412,12 +408,12 @@ def _resolve_seed(flag_value, config: dict, *, context: str) -> int:
 #: settings that a flag, the config or a default gives, per command and in
 #: report order: key (also the flag's dest) -> (default, check of a config value)
 _DESIGN_SETTINGS = {"max_draws": (None, _as_int)}
-_ANALYZE_SETTINGS = {"alpha": (0.05, _as_number), "draws": (DEFAULT_LAW_DRAWS, _as_int)}
+_ANALYZE_SETTINGS = {"alpha": (DEFAULT_ALPHA, _as_number), "draws": (DEFAULT_LAW_DRAWS, _as_int)}
 _SIMULATE_SETTINGS = {
     "coverage": (False, _as_bool),
-    "alpha": (0.05, _as_number),
-    "draws": (20_000, _as_int),
-    "theory_draws": (200_000, _as_int),
+    "alpha": (DEFAULT_ALPHA, _as_number),
+    "draws": (COVERAGE_LAW_DRAWS, _as_int),
+    "theory_draws": (THEORY_DRAWS, _as_int),
     "max_draws": (None, _as_int),
     "workers": (None, _as_int),
 }
@@ -550,8 +546,7 @@ def cmd_analyze(args) -> None:
 def cmd_simulate(args) -> None:
     pop_cfg = _load_json(args.population)
     designs_cfg = _load_json(args.designs)
-    spec, sizes, resolved_pop = _parse_population(pop_cfg, args.population)
-    structure = build_structure(spec.k)
+    spec, structure, sizes, resolved_pop = _parse_population(pop_cfg, args.population)
 
     extras = designs_cfg if isinstance(designs_cfg, dict) else {"designs": designs_cfg}
     _check_keys(extras, {"designs", "seed", *_SIMULATE_SETTINGS}, args.designs,
@@ -593,26 +588,31 @@ def cmd_simulate(args) -> None:
         timing_seconds=report.timing_seconds)
 
 
-def _parse_population(cfg, path: str) -> tuple[PopulationSpec, GroupSizes, dict]:
+def _parse_population(cfg, path: str) -> tuple[PopulationSpec, FactorialStructure,
+                                               GroupSizes, dict]:
+    """The JSON population spec -> the library's spec, structure, group sizes and
+    echo; the library checks the columns, outcome and correlation, and its errors
+    are prefixed with the file and field."""
     if not isinstance(cfg, dict):
         raise ValidationError(f"{path}: population spec must be a JSON object")
     if "builtin" in cfg:
         _check_keys(cfg, {"builtin"}, path)
         name = cfg["builtin"]
-        if name not in _BUILTIN_POPULATIONS:
+        if not isinstance(name, str) or name not in _BUILTIN_POPULATIONS:
             raise ValidationError(
                 f"{path}: unknown builtin {name!r}; available: "
                 f"{list(_BUILTIN_POPULATIONS)}")
-        spec, sizes = education_like()
+        spec, sizes = _BUILTIN_POPULATIONS[name]()
         resolved = {"builtin": name, "n": spec.n, "k": spec.k,
                     "sizes": list(sizes.counts), "covariates": spec.covariate_count}
-        return spec, sizes, resolved
+        return spec, build_structure(spec.k), sizes, resolved
 
     _check_keys(cfg, {"n", "k", "sizes", "columns", "correlation", "outcome"},
                 path, required=("n", "k", "sizes", "columns", "outcome"))
     n = _as_int(cfg["n"], f"{path}: n")
-    k = _as_int(cfg["k"], f"{path}: k")
-    sizes = _parse_sizes(cfg["sizes"], 2 ** k, path)
+    with _prefixed(path):  # before any 2^k is formed
+        structure = build_structure(_as_int(cfg["k"], "k"))
+    sizes = _parse_sizes(cfg["sizes"], structure.q_count, path)
     if sizes.n != n:
         raise ValidationError(
             f"{path}: sizes sum to {sizes.n}, but n = {n}")
@@ -624,50 +624,29 @@ def _parse_population(cfg, path: str) -> tuple[PopulationSpec, GroupSizes, dict]
         context = f"{path}: columns[{i + 1}]"
         if not isinstance(c, dict) or "kind" not in c:
             raise ValidationError(f'{context}: needs a "kind"')
-        kind = c["kind"]
-        if not isinstance(kind, str) or kind not in _COLUMN_PARAMS:
-            raise ValidationError(
-                f"{context}: unknown kind {kind!r}; expected normal, binary, "
-                f"or uniform")
-        _check_keys(c, {"kind", *_COLUMN_PARAMS[kind]}, context)
-        values = []
-        for name, default in _COLUMN_PARAMS[kind].items():
-            if default is None and name not in c:
-                raise ValidationError(f"{context}: {kind} column needs {name!r}")
-            values.append(_as_number(c.get(name, default), f"{context}: {name}"))
-        try:
-            columns.append(CovariateColumn(kind, *values))
-        except ValidationError as exc:  # say which column of the file
-            raise ValidationError(f"{context}: {exc}") from None
+        params = {key: value for key, value in c.items() if key != "kind"}
+        with _prefixed(context):
+            columns.append(CovariateColumn.named(c["kind"], **params))
 
+    recipe_fields = fields(OutcomeRecipe)
     oc = cfg["outcome"]
-    _check_keys(oc, {"intercepts", "slopes", "noise_scales", "additive", "clamp"},
-                f"{path}: outcome", required=("intercepts", "slopes"))
-    noise = oc.get("noise_scales", 1.0)
-    recipe = OutcomeRecipe(
-        intercepts=tuple(_number_list(oc["intercepts"], f"{path}: intercepts")),
-        slopes=oc["slopes"],
-        noise_scales=noise if isinstance(noise, list) else _as_number(
-            noise, f"{path}: noise_scales"),
-        additive=_as_bool(oc.get("additive", False), f"{path}: additive"),
-        clamp=oc.get("clamp"))
-    spec = PopulationSpec(n=n, k=k, columns=tuple(columns), outcome=recipe,
-                          correlation=cfg.get("correlation"))
+    _check_keys(oc, [f.name for f in recipe_fields], f"{path}: outcome",
+                required=[f.name for f in recipe_fields if f.default is MISSING])
+    if isinstance(oc["intercepts"], list):  # the recipe keeps a tuple
+        oc = {**oc, "intercepts": tuple(oc["intercepts"])}
+    with _prefixed(f"{path}: outcome"):
+        recipe = OutcomeRecipe(**oc)
+    with _prefixed(path):
+        spec = PopulationSpec(n=n, k=structure.k, columns=tuple(columns), outcome=recipe,
+                              correlation=cfg.get("correlation"))
     resolved = {
-        "n": n, "k": k, "sizes": list(sizes.counts),
+        "n": n, "k": structure.k, "sizes": list(sizes.counts),
         "columns": cfg["columns"],
         "correlation": None if spec.correlation is None else spec.correlation.tolist(),
-        "outcome": {
-            "intercepts": list(recipe.intercepts),
-            "slopes": recipe.slopes.tolist(),
-            "noise_scales": (list(recipe.noise_scales)
-                             if isinstance(recipe.noise_scales, tuple)
-                             else recipe.noise_scales),
-            "additive": recipe.additive,
-            "clamp": None if recipe.clamp is None else list(recipe.clamp),
-        },
+        "outcome": {**{f.name: getattr(recipe, f.name) for f in recipe_fields},
+                    "slopes": recipe.slopes.tolist()},
     }
-    return spec, sizes, resolved
+    return spec, structure, sizes, resolved
 
 
 def _parse_count_list(text: str, label: str, cast) -> list:

@@ -28,6 +28,9 @@ from .rerandomize import Assignment
 #: default Monte Carlo draws for the threshold quantile
 DEFAULT_LAW_DRAWS = 100_000
 
+#: default 1 - coverage of a confidence set
+DEFAULT_ALPHA = 0.05
+
 
 @dataclass(frozen=True)
 class ConfidenceSet:
@@ -67,7 +70,7 @@ def estimated_law(y_obs: np.ndarray, x: np.ndarray, assignment: Assignment,
 def confidence_set(y_obs: np.ndarray, x: np.ndarray, assignment: Assignment,
                    structure: FactorialStructure, sizes: GroupSizes,
                    criterion: BalanceCriterion, *,
-                   contrast: np.ndarray | None = None, alpha: float = 0.05,
+                   contrast: np.ndarray | None = None, alpha: float = DEFAULT_ALPHA,
                    rng: np.random.Generator,
                    draws: int = DEFAULT_LAW_DRAWS) -> ConfidenceSet:
     """Simulated-threshold confidence set for C tau.

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotic import LawComponent
-from .balance import BalanceCriterion, _group_sums, criterion_plan, group_means
+from .balance import (BalanceCriterion, _as_columns, _group_sums, criterion_plan,
+                      group_means)
 from .design import FactorialStructure, GroupSizes, coefficient_gram
 from .errors import ValidationError
 from .linalg import guarded_eigh
@@ -61,10 +62,7 @@ def sample_moments(y_obs: np.ndarray, x: np.ndarray,
     Requires every group to hold at least L + 2 units so the within-group
     covariate covariance can be inverted with a degree of freedom to spare.
     """
-    y = np.asarray(y_obs, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    y, x = np.asarray(y_obs, dtype=float), _as_columns(x)
     if y.shape[0] != x.shape[0] or y.shape[0] != assignment.n:
         raise ValidationError("outcomes, covariates and assignment must align")
     q_count, l_count = assignment.q_count, x.shape[1]
@@ -130,9 +128,7 @@ def projection_coefficients(y_obs: np.ndarray, x: np.ndarray,
     omitted; when the criterion splits the covariates into several tiers,
     the moments of the residualized tiers are computed here instead.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = _as_columns(x)
     sizes.validate_for(structure)
     plan = criterion_plan(criterion, structure, sizes, x.shape[1])
     if moments is None or len(plan.covariate_partition) > 1:

@@ -34,13 +34,12 @@ def population_covariance(a: np.ndarray, b: np.ndarray | None = None) -> np.ndar
     return centered_a.T @ centered_b / (a.shape[0] - 1)
 
 
-def guarded_eigh(mat: np.ndarray, *, cond_limit: float = COND_LIMIT,
-                 name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+def guarded_eigh(mat: np.ndarray, *, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric positive-definite matrix, or of
     each matrix of a (..., L, L) stack.
 
     Fails loudly when a matrix has non-finite entries, is not PD or its
-    relative condition number exceeds ``cond_limit``, rather than
+    relative condition number exceeds :data:`COND_LIMIT`, rather than
     regularizing.  For a stack, ``name`` is formatted with the 1-based flat
     position of the first failing matrix.
     """
@@ -50,7 +49,7 @@ def guarded_eigh(mat: np.ndarray, *, cond_limit: float = COND_LIMIT,
     # passes the guards below, so such matrices are decomposed as zeros
     eigvals, eigvecs = np.linalg.eigh(np.where(finite[..., None, None], mat, 0.0))
     smallest, largest = eigvals[..., 0], eigvals[..., -1]
-    bad = np.flatnonzero(~finite | (smallest <= 0.0) | (largest > cond_limit * smallest))
+    bad = np.flatnonzero(~finite | (smallest <= 0.0) | (largest > COND_LIMIT * smallest))
     if bad.size:
         first = int(bad[0])
         label = name if mat.ndim == 2 else name.format(first + 1)

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
+import sys
 import threading
 import time
 from dataclasses import dataclass, field, fields
@@ -33,7 +35,7 @@ from .asymptotic import simulate_law, validate_law_draws, variance_reduction
 from .balance import (BalanceCriterion, CompleteRandomization, CriterionEngine,
                       EffectTierCriterion)
 from .chisq import chi2_quantile
-from .confidence import confidence_set
+from .confidence import DEFAULT_ALPHA, confidence_set
 from .design import (CONTRAST_BUDGET_BYTES, EffectTierPartition, FactorialStructure,
                      GroupSizes)
 from .errors import ValidationError
@@ -42,8 +44,9 @@ from .rerandomize import rerandomize
 from .rng import stream
 from .truth import law_from_truth, population_truth
 
-#: each column kind's parameter names, in (a, b) order
-_COLUMN_KINDS = {"normal": ("mean", "sd"), "binary": ("rate",), "uniform": ("low", "high")}
+#: each column kind's parameters, in (a, b) order, with their defaults (None: required)
+COLUMN_KINDS = {"normal": {"mean": 0.0, "sd": 1.0}, "binary": {"rate": None},
+                "uniform": {"low": 0.0, "high": 1.0}}
 
 #: name reserved for the built-in unrestricted-randomization baseline
 BASELINE_NAME = "complete"
@@ -51,18 +54,32 @@ BASELINE_NAME = "complete"
 #: quantile defining the spread column of replication reports
 RANGE_QUANTILE = 0.95
 
+#: default law draws of each replication's confidence set, with coverage on
+COVERAGE_LAW_DRAWS = 20_000
+
+#: default draws of each design's theoretical law
+THEORY_DRAWS = 200_000
+
 
 # ---------------------------------------------------------------------------
 # synthetic populations
 
 
+def _is_number(value) -> bool:
+    """A real number that a float can hold; a string, a boolean (JSON ``true``)
+    or an integer past the float range is not one."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and not (isinstance(value, int) and abs(value) > sys.float_info.max))
+
+
 def _floats(value, label: str, finite: bool = True) -> np.ndarray:
-    """``value`` as a float array; a string, mapping or ragged list is refused,
-    and so is a NaN or an infinity unless ``finite`` is off."""
-    try:
-        out = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{label} must be numbers, got {value!r}") from None
+    """``value`` as a float array whose every entry is a number (see
+    :func:`_is_number`), so a mapping or a ragged list is refused too; so is
+    a NaN or an infinity unless ``finite`` is off."""
+    cells = np.asarray(value, dtype=object)
+    if not all(map(_is_number, cells.flat)):
+        raise ValidationError(f"{label} must be numbers, got {value!r}")
+    out = cells.astype(float)
     if finite and not np.isfinite(out).all():
         raise ValidationError(f"{label} must be finite, got {value!r}")
     return out
@@ -73,22 +90,32 @@ class CovariateColumn:
     """One synthetic covariate column.
 
     kind "normal" uses (a, b) = (mean, sd); "binary" uses a = success rate;
-    "uniform" uses (a, b) = (low, high).  All columns are carved out of a
+    "uniform" uses (a, b) = (low, high).  A parameter left None takes its
+    default from :data:`COLUMN_KINDS`.  All columns are carved out of a
     shared latent Gaussian vector, so cross-column correlation survives the
     marginal transforms (attenuated for the discrete kinds).
     """
 
     kind: str
-    a: float = 0.0
-    b: float = 1.0
+    a: float | None = None
+    b: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in _COLUMN_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in COLUMN_KINDS:
+            *most, last = COLUMN_KINDS
             raise ValidationError(
-                f"column kind must be one of {tuple(_COLUMN_KINDS)}, got {self.kind!r}")
-        for name, value in zip(_COLUMN_KINDS[self.kind], (self.a, self.b)):
+                f"unknown kind {self.kind!r}; expected {', '.join(most)}, or {last}")
+        for attr, (name, default) in zip(("a", "b"), COLUMN_KINDS[self.kind].items()):
+            value = getattr(self, attr)
+            if value is None and default is None:
+                raise ValidationError(f"{self.kind} column needs {name!r}")
+            value = default if value is None else value
+            label = f"{self.kind} column {name}"
+            if not _is_number(value):
+                raise ValidationError(f"{label} must be a number, got {value!r}")
             if not math.isfinite(value):
-                raise ValidationError(f"{self.kind} column {name} must be finite, got {value}")
+                raise ValidationError(f"{label} must be finite, got {value}")
+            object.__setattr__(self, attr, float(value))
         if self.kind == "normal" and not self.b > 0.0:
             raise ValidationError(f"normal column needs sd > 0, got {self.b}")
         if self.kind == "binary" and not 0.0 < self.a < 1.0:
@@ -98,8 +125,17 @@ class CovariateColumn:
             raise ValidationError(
                 f"uniform column needs high > low, got [{self.a}, {self.b}]")
 
+    @classmethod
+    def named(cls, kind, /, **params) -> CovariateColumn:
+        """A ``kind`` column from its parameters by name."""
+        names = COLUMN_KINDS.get(kind, {}) if isinstance(kind, str) else {}
+        if names and set(params) - set(names):  # an unknown kind is refused below
+            raise ValidationError(f"unknown keys {sorted(set(params) - set(names))}; "
+                                  f"allowed: {sorted(['kind', *names])}")
+        return cls(kind, *map(params.get, names))
 
-def normal_column(mean: float = 0.0, sd: float = 1.0) -> CovariateColumn:
+
+def normal_column(mean: float | None = None, sd: float | None = None) -> CovariateColumn:
     return CovariateColumn("normal", mean, sd)
 
 
@@ -107,7 +143,7 @@ def binary_column(rate: float) -> CovariateColumn:
     return CovariateColumn("binary", rate)
 
 
-def uniform_column(low: float = 0.0, high: float = 1.0) -> CovariateColumn:
+def uniform_column(low: float | None = None, high: float | None = None) -> CovariateColumn:
     return CovariateColumn("uniform", low, high)
 
 
@@ -131,6 +167,8 @@ class OutcomeRecipe:
     clamp: tuple[float, float] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.additive, bool):
+            raise ValidationError(f"additive must be true or false, got {self.additive!r}")
         intercepts = _floats(self.intercepts, "intercepts")
         if intercepts.ndim != 1:
             raise ValidationError(f"intercepts must be a list, got {self.intercepts!r}")
@@ -144,6 +182,8 @@ class OutcomeRecipe:
         if noise.ndim > 1:
             raise ValidationError(
                 f"noise scales must be a scalar or a list, got shape {noise.shape}")
+        if (noise < 0.0).any():
+            raise ValidationError("noise scales must be nonnegative")
         object.__setattr__(self, "noise_scales",
                            float(noise) if noise.ndim == 0 else tuple(noise.tolist()))
         if self.clamp is not None:
@@ -168,17 +208,13 @@ class OutcomeRecipe:
         return s
 
     def noise_table(self, q_count: int) -> np.ndarray:
-        ns = self.noise_scales
-        if np.isscalar(ns):
-            out = np.full(q_count, float(ns))
-        else:
-            out = np.asarray(ns, dtype=float)
-            if out.shape != (q_count,):
-                raise ValidationError(
-                    f"noise scales must be a scalar or one per combination "
-                    f"({q_count}), got shape {out.shape}")
-        if np.any(out < 0.0):
-            raise ValidationError("noise scales must be nonnegative")
+        out = np.asarray(self.noise_scales)
+        if out.ndim == 0:
+            return np.full(q_count, self.noise_scales)
+        if out.shape != (q_count,):
+            raise ValidationError(
+                f"noise scales must be a scalar or one per combination "
+                f"({q_count}), got shape {out.shape}")
         return out
 
     def check_additive(self, q_count: int, l_count: int) -> None:
@@ -501,8 +537,8 @@ def _summarize(name, taus, draws, covers, tau, baseline=None,
 def replicate(population: Population, structure: FactorialStructure,
               sizes: GroupSizes, designs: Sequence[tuple[str, BalanceCriterion]],
               *, reps: int, seed: int, coverage: bool = False,
-              alpha: float = 0.05, law_draws: int = 20_000,
-              theory_draws: int = 200_000, max_draws: int | None = None,
+              alpha: float = DEFAULT_ALPHA, law_draws: int = COVERAGE_LAW_DRAWS,
+              theory_draws: int = THEORY_DRAWS, max_draws: int | None = None,
               workers: int | None = None) -> ReplicationReport:
     """Monte Carlo comparison of balance criteria on a fixed population.
 
@@ -537,10 +573,6 @@ def replicate(population: Population, structure: FactorialStructure,
         raise ValidationError(
             f"population was generated for k={population.k}, structure has "
             f"k={structure.k}")
-    sizes.validate_for(structure)
-    if sizes.n != population.n:
-        raise ValidationError(
-            f"group sizes sum to {sizes.n} but the population has {population.n} units")
     names = [name for name, _ in designs]
     if BASELINE_NAME in names:
         raise ValidationError(
@@ -625,12 +657,8 @@ def report_rows(report: ReplicationReport) -> list[dict]:
 
 def report_to_dict(report: ReplicationReport) -> dict:
     """JSON-ready dictionary form of a report, without its timing."""
-    def design_dict(res: DesignResult) -> dict:
-        out = {}
-        for item in fields(res):
-            value = getattr(res, item.name)
-            out[item.name] = value.tolist() if isinstance(value, np.ndarray) else value
-        return out
+    def plain(value):
+        return value.tolist() if isinstance(value, np.ndarray) else value
 
     return {
         "seed": report.seed,
@@ -643,7 +671,8 @@ def report_to_dict(report: ReplicationReport) -> dict:
         "alpha": report.alpha,
         "law_draws": report.law_draws,
         "theory_draws": report.theory_draws,
-        "designs": [design_dict(r) for r in report.all_results()],
+        "designs": [{item.name: plain(getattr(res, item.name)) for item in fields(res)}
+                    for res in report.all_results()],
     }
 
 
@@ -684,7 +713,6 @@ def tradeoff_sweep(x: np.ndarray, potential: np.ndarray,
         raise ValidationError(
             f"the tradeoff sweep is defined for exactly 2 effect tiers, "
             f"got {len(partition)}")
-    partition.validate(structure.f_count)
     if not 0.0 < overall_probability < 1.0:
         raise ValidationError(
             f"overall acceptance probability must lie strictly inside (0, 1), "

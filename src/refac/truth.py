@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotic import AsymptoticLaw, CorrelationProfile
-from .balance import BalanceCriterion, criterion_plan, stacked_cross
+from .balance import BalanceCriterion, _as_columns, criterion_plan, stacked_cross
 from .design import FactorialStructure, GroupSizes, coefficient_gram
 from .errors import ValidationError
 from .linalg import KroneckerPSD, population_covariance, sym_inverse
@@ -21,9 +21,7 @@ from .linalg import KroneckerPSD, population_covariance, sym_inverse
 
 def _check_tables(x: np.ndarray, potential: np.ndarray,
                   structure: FactorialStructure, sizes: GroupSizes) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = _as_columns(x)
     potential = np.asarray(potential, dtype=float)
     sizes.validate_for(structure)
     if potential.ndim != 2 or potential.shape[1] != structure.q_count:

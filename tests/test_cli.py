@@ -18,6 +18,8 @@ from refac.design import CONTRAST_BUDGET_BYTES, MAX_FACTORS, build_structure
 from refac.estimate import effect_estimates
 from refac.rerandomize import Assignment
 from refac.rng import stream
+from refac.simlab import (COLUMN_KINDS, OutcomeRecipe, PopulationSpec,
+                          generate_population)
 
 
 def _write_json(path, payload):
@@ -740,7 +742,18 @@ def test_simulate_rejects_malformed_columns(tmp_path, capsys, column, message):
     ({"outcome": {"additive": "no"}}, "additive must be true or false, got 'no'"),
     ({"outcome": {"intercepts": [math.inf, 0.5, 1.0, 1.5]}},
      "intercepts must be finite, got (inf, 0.5, 1.0, 1.5)"),
-], ids=["slopes", "clamp", "noise-scales", "correlation", "additive", "infinite-intercept"])
+    # numpy would read these as numbers, but JSON strings and booleans are not
+    ({"outcome": {"slopes": ["1", True]}},
+     "outcome: slopes must be numbers, got ['1', True]"),
+    ({"outcome": {"noise_scales": ["0.5", "0.5", "0.5", "0.5"]}},
+     "outcome: noise_scales must be numbers, got ['0.5', '0.5', '0.5', '0.5']"),
+    ({"outcome": {"clamp": ["-1", "1"]}}, "outcome: clamp must be numbers, got ['-1', '1']"),
+    ({"correlation": [[True, 0.0], [0.0, 1.0]]},
+     "correlation must be numbers, got [[True, 0.0], [0.0, 1.0]]"),
+    ({"outcome": {"slopes": [10 ** 400, 0.5]}}, "outcome: slopes must be numbers"),
+], ids=["slopes", "clamp", "noise-scales", "correlation", "additive", "infinite-intercept",
+        "string-and-boolean-slopes", "string-noise-scales", "string-clamp",
+        "boolean-correlation", "integer-past-the-float-range"])
 def test_simulate_rejects_population_values_of_the_wrong_type(tmp_path, capsys, change,
                                                               message):
     _, designs = _simulation_configs(tmp_path)
@@ -754,6 +767,37 @@ def test_simulate_rejects_population_values_of_the_wrong_type(tmp_path, capsys, 
                  "--reps", "4", "--out-json", str(tmp_path / "o.json")])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+#: a value for each column parameter that has no default
+_REQUIRED_COLUMN_VALUES = {"rate": 0.3}
+
+
+@pytest.mark.parametrize("kind", list(COLUMN_KINDS))
+def test_simulate_builds_each_column_kind_like_the_library(tmp_path, monkeypatch, kind):
+    required = {name: _REQUIRED_COLUMN_VALUES[name]
+                for name, default in COLUMN_KINDS[kind].items() if default is None}
+    cli, simlab = (importlib.import_module(f"refac.{m}") for m in ("cli", "simlab"))
+    specs = []
+    monkeypatch.setattr(cli, "generate_population",
+                        lambda spec, rng: specs.append(spec) or generate_population(spec, rng))
+    pop = _write_json(tmp_path / "pop.json", {
+        "n": 40, "k": 2, "sizes": {"equal": 40}, "columns": [{"kind": kind, **required}],
+        "outcome": {"intercepts": [0.0, 0.5, 1.0, 1.5], "slopes": [1.0]}})
+    designs = _write_json(tmp_path / "designs.json", {
+        "designs": [{"name": "x", "criterion": {"type": "complete"}}],
+        "seed": 3, "theory_draws": 1000})
+    assert main(["simulate", "--population", pop, "--designs", designs, "--reps", "2",
+                 "--workers", "1", "--out-json", str(tmp_path / "o.json")]) == 0
+
+    column = getattr(simlab, f"{kind}_column")(**required)
+    assert specs[0].columns == (column,)
+    expected = generate_population(PopulationSpec(
+        n=40, k=2, columns=(column,),
+        outcome=OutcomeRecipe(intercepts=(0.0, 0.5, 1.0, 1.5), slopes=[1.0])), stream(3, 2))
+    actual = generate_population(specs[0], stream(3, 2))
+    np.testing.assert_array_equal(actual.x, expected.x)
+    np.testing.assert_array_equal(actual.potential, expected.potential)
 
 
 @pytest.mark.parametrize("coverage", ["false", 0, None])

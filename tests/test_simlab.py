@@ -47,6 +47,9 @@ def test_column_constructors_and_validation():
                        ("uniform", -math.inf, 1.0)):
         with pytest.raises(ValidationError, match="must be finite"):
             CovariateColumn(kind, a, b)
+    for rate in ("0.5", True, [0.5], 10 ** 400):  # numpy reads the first two as numbers
+        with pytest.raises(ValidationError, match="binary column rate must be a number"):
+            binary_column(rate)
 
 
 def test_outcome_recipe_tables():
@@ -74,7 +77,10 @@ def test_outcome_recipe_tables():
     for bad in ({"intercepts": "ab"}, {"intercepts": 5}, {"slopes": "x"},
                 {"clamp": 5}, {"clamp": ("a", "b")},
                 {"noise_scales": ("a", "b")}, {"noise_scales": ((1.0,), (1.0,))},
-                {"slopes": np.array([math.nan])}, {"noise_scales": (0.5, -math.inf)}):
+                {"slopes": np.array([math.nan])}, {"noise_scales": (0.5, -math.inf)},
+                # strings and booleans, which numpy would read as numbers
+                {"slopes": ["1", True]}, {"noise_scales": ("0.5", "0.5")},
+                {"clamp": ("-1", "1")}, {"intercepts": (0.0, False)}, {"additive": 1}):
         with pytest.raises(ValidationError):
             OutcomeRecipe(**{"intercepts": (0.0, 1.0), "slopes": np.zeros(1), **bad})
     # an infinite clamp bound leaves that side open
@@ -110,8 +116,9 @@ def test_population_spec_validation():
     with pytest.raises(ValidationError):
         PopulationSpec(n=10, k=1, columns=(col,), outcome=recipe,
                        correlation=np.eye(2))
-    with pytest.raises(ValidationError, match="correlation must be numbers"):
-        PopulationSpec(n=10, k=1, columns=(col,), outcome=recipe, correlation="x")
+    for bad in ("x", [[True]]):
+        with pytest.raises(ValidationError, match="correlation must be numbers"):
+            PopulationSpec(n=10, k=1, columns=(col,), outcome=recipe, correlation=bad)
     with pytest.raises(ValidationError, match="correlation must be finite"):
         PopulationSpec(n=10, k=1, columns=(col,), outcome=recipe, correlation=[[math.nan]])
     skew = np.array([[1.0, 0.5], [0.2, 1.0]])
